@@ -14,7 +14,8 @@
 #   ./ci.sh --analyze  # shard-safety pass only: tools/shard_analyze.py (clean inventory +
 #                      # byte-identical rerun + seeded-violation negative test) and, where
 #                      # clang is installed, a -Werror=thread-safety build
-#   ./ci.sh --suite    # tier-1 build, then the bench suite checked against BENCH_baseline.json
+#   ./ci.sh --suite    # tier-1 build, then the bench suite checked against BENCH_baseline.json,
+#                      # then the repository benchmark's self-test (perfbench/test_perfbench.py)
 #   ./ci.sh --perf     # Release build, self-profiled bench subset (--perf --repeat 5) gated
 #                      # against BENCH_perf_baseline.json, plus a deliberate-slowdown check
 #                      # that proves the gate can fail (see bench/run_suite.sh for tolerance)
@@ -499,6 +500,9 @@ fi
 if [[ "$run_suite" == 1 ]]; then
   echo "=== bench suite vs committed baseline ==="
   bench/run_suite.sh --check
+
+  echo "=== repository benchmark self-test (perfbench) ==="
+  python3 perfbench/test_perfbench.py
 fi
 
 if [[ "$run_perf" == 1 ]]; then

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
@@ -21,10 +22,26 @@ PhysAddr BlockAddrFromFlat(const FlashGeometry& g, std::uint64_t flat_block) {
   return a;
 }
 
+// The mapping tables hold 32-bit page numbers with ~0 as the unmapped sentinel. A geometry
+// whose page numbers would not fit stops the process before the flash device or any table is
+// allocated; assert() would be compiled out of Release builds.
+const FlashConfig& CheckMapFits(const FlashConfig& config) {
+  const std::uint64_t pages = config.geometry.total_pages();
+  if (pages >= std::numeric_limits<std::uint32_t>::max()) {
+    std::fprintf(stderr,
+                 "blockhead: ConventionalSsd geometry has %llu pages; 32-bit mapping tables "
+                 "hold at most %u\n",
+                 static_cast<unsigned long long>(pages),
+                 std::numeric_limits<std::uint32_t>::max() - 1);
+    std::abort();
+  }
+  return config;
+}
+
 }  // namespace
 
 ConventionalSsd::ConventionalSsd(const FlashConfig& flash_config, const FtlConfig& ftl_config)
-    : flash_(flash_config), config_(ftl_config) {
+    : flash_(CheckMapFits(flash_config)), config_(ftl_config) {
   const FlashGeometry& g = flash_.geometry();
   const std::uint64_t total_pages = g.total_pages();
   const std::uint64_t reserve_pages = static_cast<std::uint64_t>(
@@ -43,6 +60,7 @@ ConventionalSsd::ConventionalSsd(const FlashConfig& flash_config, const FtlConfi
   l2p_.assign(logical_pages_, kUnmapped);
   p2l_.assign(total_pages, kUnmapped);
   block_meta_.assign(g.total_blocks(), BlockMeta{});
+  victims_ = VictimIndex(g.total_blocks(), g.pages_per_block);
   config_.num_streams = std::max<std::uint32_t>(1, config_.num_streams);
   planes_.resize(g.total_planes());
   for (std::uint32_t pl = 0; pl < g.total_planes(); ++pl) {
@@ -67,18 +85,22 @@ ConventionalSsd::ConventionalSsd(const FlashConfig& flash_config, const FtlConfi
 }
 
 bool ConventionalSsd::PageValid(std::uint64_t ppn) const {
-  const std::uint64_t lpn = p2l_[ppn];
+  const MapEntry lpn = p2l_[ppn];
   return lpn != kUnmapped && l2p_[lpn] == ppn;
 }
 
 void ConventionalSsd::InvalidatePage(std::uint64_t lpn, SimTime now) {
-  const std::uint64_t old = l2p_[lpn];
+  const MapEntry old = l2p_[lpn];
   if (old == kUnmapped) {
     return;
   }
   const std::uint64_t block = old / flash_.geometry().pages_per_block;
-  assert(block_meta_[block].valid_pages > 0);
-  block_meta_[block].valid_pages--;
+  BlockMeta& meta = block_meta_[block];
+  assert(meta.valid_pages > 0);
+  if (victims_.contains(block)) {
+    victims_.Decrement(block, meta.valid_pages);
+  }
+  meta.valid_pages--;
   p2l_[old] = kUnmapped;
   l2p_[lpn] = kUnmapped;
   if (audit_l2p_ != nullptr && audit_l2p_->armed()) {
@@ -132,6 +154,7 @@ Result<PhysAddr> ConventionalSsd::NextSlot(SimTime issue, bool gc_write,
                                  frontier;
       block_meta_[flat].open = false;
       block_meta_[flat].last_write = issue;
+      victims_.Insert(flat, block_meta_[flat].valid_pages);
       frontier = kNoBlock;
     }
     if (frontier == kNoBlock) {
@@ -178,8 +201,8 @@ Result<SimTime> ConventionalSsd::AppendPage(std::uint64_t lpn, SimTime issue,
   const FlashGeometry& g = flash_.geometry();
   const std::uint64_t ppn = FlatPageIndex(g, addr).value();
   const std::uint64_t block = ppn / g.pages_per_block;
-  l2p_[lpn] = ppn;
-  p2l_[ppn] = lpn;
+  l2p_[lpn] = static_cast<MapEntry>(ppn);
+  p2l_[ppn] = static_cast<MapEntry>(lpn);
   if (audit_l2p_ != nullptr && audit_l2p_->armed()) {
     audit_l2p_->Insert(done.value(), L2pEntryHash(lpn, ppn));
   }
@@ -188,43 +211,53 @@ Result<SimTime> ConventionalSsd::AppendPage(std::uint64_t lpn, SimTime issue,
   return done;
 }
 
+bool ConventionalSsd::IsVictimCandidate(std::uint64_t flat) const {
+  const FlashGeometry& g = flash_.geometry();
+  const PhysAddr addr = BlockAddrFromFlat(g, flat);
+  const BlockStatus status = flash_.block_status(addr.channel, addr.plane, addr.block);
+  return !block_meta_[flat].open && !status.bad && status.next_page >= g.pages_per_block;
+}
+
 std::uint64_t ConventionalSsd::PickVictim(SimTime now, bool wear_migration) {
   const FlashGeometry& g = flash_.geometry();
   const std::uint32_t ppb = g.pages_per_block;
-  std::uint64_t best = kUnmapped;
-  double best_score = -1.0;
   // Audit divergence-injection hook (see perturb_gc_at_): when armed, track the runner-up
-  // and return it instead of the winner, once. The greedy dead-block shortcut is skipped in
-  // that one scan so a runner-up exists to return.
+  // and return it instead of the winner, once.
   const bool perturb = perturb_pending_ && !wear_migration && now >= perturb_gc_at_;
-  std::uint64_t second = kUnmapped;
-  double second_score = -1.0;
 
-  // Scan from a rotating start: a fixed scan order breaks score ties toward the lowest block
+  // Ties break from a rotating start: a fixed order breaks score ties toward the lowest block
   // indices, which concentrates victims (and their serialized page reads) on plane 0.
   const std::uint64_t scan_start = victim_scan_cursor_;
   victim_scan_cursor_ = (victim_scan_cursor_ + g.pages_per_block + 1) % block_meta_.size();
+
+  if (!perturb && !wear_migration && config_.victim_policy == GcVictimPolicy::kGreedy) {
+    // The index's pick is the scan's pick: the first block at or after scan_start in the
+    // lowest valid-page bucket (bucket 0 is the scan's dead-block shortcut).
+    const VictimIndex::Pick pick = victims_.PickGreedy(scan_start);
+    // All full blocks fully valid (or none at all): GC would gain nothing.
+    return pick.block != kNoVictim && pick.valid < ppb ? pick.block : kNoVictim;
+  }
+
+  // Exact scan over the candidates: cost-benefit scores depend on `now`, wear migration on
+  // erase counts, and the perturbation on a runner-up, none of which the index orders.
+  std::uint64_t best = kNoVictim;
+  double best_score = -1.0;
+  std::uint64_t second = kNoVictim;
+  double second_score = -1.0;
   for (std::uint64_t i = 0; i < block_meta_.size(); ++i) {
     const std::uint64_t flat = (scan_start + i) % block_meta_.size();
-    const BlockMeta& meta = block_meta_[flat];
-    if (meta.open) {
-      continue;
-    }
-    const PhysAddr addr = BlockAddrFromFlat(g, flat);
-    const BlockStatus status = flash_.block_status(addr.channel, addr.plane, addr.block);
-    if (status.bad || status.next_page < ppb) {
+    if (!victims_.contains(flat)) {
       continue;  // Only full blocks are victims; partial blocks are free-pool or frontiers.
     }
-
-    if (!perturb && !wear_migration && config_.victim_policy == GcVictimPolicy::kGreedy &&
-        meta.valid_pages == 0) {
-      return flat;  // A fully dead block is always the greedy optimum.
-    }
+    const BlockMeta& meta = block_meta_[flat];
     double score = 0.0;
     if (wear_migration) {
       // Least-worn full block: migrating it lets its (presumably cold) data move so the block
       // can absorb erases.
-      score = 1.0 / (1.0 + static_cast<double>(status.erase_count));
+      const PhysAddr addr = BlockAddrFromFlat(g, flat);
+      const std::uint32_t erase_count =
+          flash_.block_status(addr.channel, addr.plane, addr.block).erase_count;
+      score = 1.0 / (1.0 + static_cast<double>(erase_count));
     } else if (config_.victim_policy == GcVictimPolicy::kGreedy) {
       score = static_cast<double>(ppb - meta.valid_pages);
     } else {
@@ -248,14 +281,13 @@ std::uint64_t ConventionalSsd::PickVictim(SimTime now, bool wear_migration) {
     }
   }
 
-  if (perturb && second != kUnmapped) {
+  if (perturb && second != kNoVictim) {
     perturb_pending_ = false;
     return second;
   }
-  if (!wear_migration && best != kUnmapped &&
-      block_meta_[best].valid_pages >= ppb) {
+  if (!wear_migration && best != kNoVictim && block_meta_[best].valid_pages >= ppb) {
     // All full blocks are fully valid: GC would gain nothing.
-    return kUnmapped;
+    return kNoVictim;
   }
   return best;
 }
@@ -266,12 +298,20 @@ Result<SimTime> ConventionalSsd::GcCycle(SimTime now) {
       config_.wear_leveling && config_.wear_migrate_interval != 0 &&
       ++gc_cycles_since_wear_check_ % config_.wear_migrate_interval == 0;
   std::uint64_t victim = PickVictim(now, wear_migration);
-  if (victim == kUnmapped && wear_migration) {
+  if (victim == kNoVictim && wear_migration) {
     victim = PickVictim(now, false);
   }
-  if (victim == kUnmapped) {
+  if (victim == kNoVictim) {
     return ErrorCode::kNoFreeBlocks;
   }
+  // The victim leaves the index for the cycle; the error returns below put it back, since
+  // a block that was not erased is still a candidate.
+  victims_.Remove(victim, block_meta_[victim].valid_pages);
+  auto reindex_victim = [this, victim] {
+    if (IsVictimCandidate(victim)) {
+      victims_.Insert(victim, block_meta_[victim].valid_pages);
+    }
+  };
 
   // Everything this cycle programs/erases is device reclaim work, not host data.
   WriteProvenance::CauseScope cause(
@@ -306,9 +346,10 @@ Result<SimTime> ConventionalSsd::GcCycle(SimTime now) {
     if (!PageValid(ppn)) {
       continue;
     }
-    const std::uint64_t lpn = p2l_[ppn];
+    const MapEntry lpn = p2l_[ppn];
     Result<PhysAddr> slot = NextSlot(now, /*gc_write=*/true, /*stream=*/0);
     if (!slot.ok()) {
+      reindex_victim();
       return slot.status();
     }
     PhysAddr src = victim_addr;
@@ -322,13 +363,14 @@ Result<SimTime> ConventionalSsd::GcCycle(SimTime now) {
     }
     Result<SimTime> done = flash_.CopyPage(src, slot.value(), batch_issue);
     if (!done.ok()) {
+      reindex_victim();
       return done;
     }
     last_done = std::max(last_done, done.value());
     // Remap.
     const std::uint64_t new_ppn = FlatPageIndex(g, slot.value()).value();
     const std::uint64_t new_block = new_ppn / g.pages_per_block;
-    l2p_[lpn] = new_ppn;
+    l2p_[lpn] = static_cast<MapEntry>(new_ppn);
     p2l_[new_ppn] = lpn;
     p2l_[ppn] = kUnmapped;
     if (audit_l2p_ != nullptr && audit_l2p_->armed()) {
@@ -344,6 +386,7 @@ Result<SimTime> ConventionalSsd::GcCycle(SimTime now) {
   Result<SimTime> erased =
       flash_.EraseBlock(victim_addr.channel, victim_addr.plane, victim_addr.block, last_done);
   if (!erased.ok()) {
+    reindex_victim();
     return erased;
   }
   // Clear any stale reverse mappings (invalid pages).
@@ -375,7 +418,6 @@ Result<SimTime> ConventionalSsd::GcCycle(SimTime now) {
 }
 
 SimTime ConventionalSsd::MaybeForegroundGc(SimTime now) {
-  SelfProfiler::Scope prof_scope(ProfilerOf(telemetry_), ProfSubsystem::kFtl, ProfOp::kGc);
   if (free_block_count_ >= gc_trigger_blocks_) {
     return now;
   }
@@ -409,7 +451,6 @@ SimTime ConventionalSsd::MaybeForegroundGc(SimTime now) {
 }
 
 std::uint32_t ConventionalSsd::RunBackgroundGc(SimTime now, std::uint32_t max_cycles) {
-  SelfProfiler::Scope prof_scope(ProfilerOf(telemetry_), ProfSubsystem::kFtl, ProfOp::kGc);
   std::uint32_t ran = 0;
   while (ran < max_cycles && free_block_count_ < gc_target_blocks_) {
     Result<SimTime> done = GcCycle(now);
@@ -451,9 +492,13 @@ void ConventionalSsd::AttachTelemetry(Telemetry* telemetry, std::string_view pre
     flash_.AttachTelemetry(nullptr);
     audit_l2p_ = nullptr;
     sampler_group_ = -1;
+    read_span_ = nullptr;
+    write_span_ = nullptr;
     return;
   }
   metric_prefix_ = std::string(prefix);
+  read_span_ = telemetry_->tracer.Intern(metric_prefix_ + ".ftl.read");
+  write_span_ = telemetry_->tracer.Intern(metric_prefix_ + ".ftl.write");
   audit_l2p_ = telemetry_->audit.Register(metric_prefix_ + ".ftl.l2p");
   flash_.AttachTelemetry(telemetry_, metric_prefix_ + ".flash");
   telemetry_->registry.AddProvider(metric_prefix_ + ".ftl", [this] { PublishMetrics(); });
@@ -503,7 +548,7 @@ Result<SimTime> ConventionalSsd::WriteBlocksStream(Lba lba, std::uint32_t count,
 
   Tracer::Span span;
   if (telemetry_ != nullptr) {
-    span = telemetry_->tracer.Start(metric_prefix_ + ".ftl.write", issue);
+    span = telemetry_->tracer.Start(write_span_, issue);
   }
   // Foreground host op: own the request-path measurement unless internal work (a CauseScope)
   // or an outer layer already does. Foreground GC needs no explicit charge here — it runs as
@@ -550,7 +595,7 @@ Result<SimTime> ConventionalSsd::ReadBlocks(Lba lba, std::uint32_t count, SimTim
 
   Tracer::Span span;
   if (telemetry_ != nullptr) {
-    span = telemetry_->tracer.Start(metric_prefix_ + ".ftl.read", issue);
+    span = telemetry_->tracer.Start(read_span_, issue);
   }
   RequestPathLedger::RequestScope req_scope(
       telemetry_ != nullptr && telemetry_->provenance.open_scopes() == 0
@@ -563,7 +608,7 @@ Result<SimTime> ConventionalSsd::ReadBlocks(Lba lba, std::uint32_t count, SimTim
     if (!out.empty()) {
       page_out = out.subspan(static_cast<std::size_t>(i) * page_size, page_size);
     }
-    const std::uint64_t ppn = l2p_[lba.value() + i];
+    const MapEntry ppn = l2p_[lba.value() + i];
     stats_.host_pages_read++;
     if (ppn == kUnmapped) {
       // Never-written LBA: served from the controller without touching flash.
@@ -632,7 +677,7 @@ std::uint64_t ConventionalSsd::FreeBlocks() const { return free_block_count_; }
 Status ConventionalSsd::CheckConsistency() const {
   const FlashGeometry& g = flash_.geometry();
   for (std::uint64_t lpn = 0; lpn < logical_pages_; ++lpn) {
-    const std::uint64_t ppn = l2p_[lpn];
+    const MapEntry ppn = l2p_[lpn];
     if (ppn == kUnmapped) {
       continue;
     }
@@ -647,8 +692,17 @@ Status ConventionalSsd::CheckConsistency() const {
     }
   }
   for (std::uint64_t b = 0; b < block_meta_.size(); ++b) {
-    if (valid[b] != block_meta_[b].valid_pages) {
+    const BlockMeta& meta = block_meta_[b];
+    if (valid[b] != meta.valid_pages) {
       return Status(ErrorCode::kCorruption, "valid-page counter drift");
+    }
+    // CheckConsistency never runs inside a GC cycle, so every candidate is indexed.
+    const bool candidate = IsVictimCandidate(b);
+    if (victims_.contains(b) != candidate) {
+      return Status(ErrorCode::kCorruption, "victim-index membership drift");
+    }
+    if (candidate && !victims_.InBucket(b, meta.valid_pages)) {
+      return Status(ErrorCode::kCorruption, "victim-index bucket drift");
     }
   }
   return Status::Ok();

@@ -26,6 +26,7 @@
 #include "src/core/shard_safety.h"
 #include "src/core/strong_id.h"
 #include "src/flash/flash_device.h"
+#include "src/ftl/victim_index.h"
 #include "src/util/status.h"
 #include "src/util/types.h"
 
@@ -128,11 +129,15 @@ class ConventionalSsd final : public BlockDevice {
   // Total free (erased, unopened) blocks in all plane pools.
   std::uint64_t FreeBlocks() const;
 
-  // Validates internal invariants (L2P/P2L agreement, valid counters). For tests; O(capacity).
+  // Validates internal invariants (L2P/P2L agreement, valid counters, victim-index
+  // membership and buckets). For tests; O(capacity).
   Status CheckConsistency() const;
 
  private:
-  static constexpr std::uint64_t kUnmapped = ~0ULL;
+  // Mapping-table entry: a flat page number. 32 bits cover every supported geometry (the
+  // constructor aborts on one with 2^32 - 1 pages or more); ~0 marks an unmapped entry.
+  using MapEntry = std::uint32_t;
+  static constexpr MapEntry kUnmapped = ~MapEntry{0};
 
   struct PlaneState {
     std::vector<std::uint32_t> free_blocks;      // Erased blocks ready to open.
@@ -161,8 +166,13 @@ class ConventionalSsd final : public BlockDevice {
   Result<SimTime> GcCycle(SimTime now);
   // Foreground GC driver: brings the free pool back above target. Returns last completion.
   SimTime MaybeForegroundGc(SimTime now);
-  // Victim selection over all full blocks. Returns flat block index or kUnmapped.
+  // Victim selection over all full blocks. Returns flat block index or kNoVictim. Greedy
+  // picks come from victims_; cost-benefit, wear-migration and perturbed picks scan.
   std::uint64_t PickVictim(SimTime now, bool wear_migration);
+  static constexpr std::uint64_t kNoVictim = VictimIndex::kNone;
+  // A GC candidate is full, closed and good. victims_ holds exactly these blocks, except
+  // for the victim of a GC cycle in progress.
+  bool IsVictimCandidate(std::uint64_t flat) const;
   void InvalidatePage(std::uint64_t lpn, SimTime now);
   bool PageValid(std::uint64_t ppn) const;
   // Host-visible ack time for a buffered write whose program completes at `program_done`.
@@ -175,11 +185,14 @@ class ConventionalSsd final : public BlockDevice {
   std::uint32_t gc_trigger_blocks_ BLOCKHEAD_SHARD_SHARED = 0;
   std::uint32_t gc_target_blocks_ BLOCKHEAD_SHARD_SHARED = 0;
 
-  std::vector<std::uint64_t> l2p_
+  std::vector<MapEntry> l2p_
       BLOCKHEAD_SHARD_SHARED;  // Logical page -> flat physical page (or kUnmapped).
-  std::vector<std::uint64_t> p2l_
+  std::vector<MapEntry> p2l_
       BLOCKHEAD_SHARD_SHARED;  // Flat physical page -> logical page (or kUnmapped).
   std::vector<BlockMeta> block_meta_ BLOCKHEAD_SHARD_LOCAL(plane);
+  // GC candidates (full, closed, good blocks) bucketed by valid_pages. A block joins when
+  // NextSlot retires it as a full frontier and leaves when GcCycle takes it as a victim.
+  VictimIndex victims_ BLOCKHEAD_SHARD_SHARED;
   std::vector<PlaneState> planes_ BLOCKHEAD_SHARD_LOCAL(plane);
   std::vector<std::uint32_t> next_host_plane_
       BLOCKHEAD_SHARD_SHARED;  // Per-stream round-robin striping cursors.
@@ -195,6 +208,9 @@ class ConventionalSsd final : public BlockDevice {
   Telemetry* telemetry_ BLOCKHEAD_SIM_GLOBAL = nullptr;
   std::string metric_prefix_ BLOCKHEAD_SIM_GLOBAL;
   int sampler_group_ BLOCKHEAD_SIM_GLOBAL = -1;  // Timeline group for free-pool / WA gauges.
+  // Span names interned at attach time, so host I/O opens spans without building strings.
+  Tracer::SpanName* read_span_ BLOCKHEAD_SIM_GLOBAL = nullptr;
+  Tracer::SpanName* write_span_ BLOCKHEAD_SIM_GLOBAL = nullptr;
 
   // State-digest audit of the mapping table ("<prefix>.ftl.l2p"): one entry per mapped
   // logical page hashing (lpn, ppn). p2l_ is derived state and is not digested separately.

@@ -297,7 +297,7 @@ Result<SimTime> HostFtlBlockDevice::WriteBlocks(Lba lba, std::uint32_t count, Si
   }
   Tracer::Span span;
   if (telemetry_ != nullptr) {
-    span = telemetry_->tracer.Start(metric_prefix_ + ".write", issue);
+    span = telemetry_->tracer.Start(write_span_, issue);
   }
   // Foreground host op: own the request-path measurement unless internal work (a CauseScope)
   // or an outer layer already does.
@@ -361,7 +361,7 @@ Result<SimTime> HostFtlBlockDevice::ReadBlocks(Lba lba, std::uint32_t count, Sim
   }
   Tracer::Span span;
   if (telemetry_ != nullptr) {
-    span = telemetry_->tracer.Start(metric_prefix_ + ".read", issue);
+    span = telemetry_->tracer.Start(read_span_, issue);
   }
   RequestPathLedger::RequestScope req_scope(
       telemetry_ != nullptr && telemetry_->provenance.open_scopes() == 0
@@ -432,8 +432,12 @@ void HostFtlBlockDevice::AttachTelemetry(Telemetry* telemetry, std::string_view 
     sampler_group_ = -1;
     provenance_ingress_ = nullptr;
     audit_l2p_ = nullptr;
+    read_span_ = nullptr;
+    write_span_ = nullptr;
     return;
   }
+  read_span_ = telemetry_->tracer.Intern(metric_prefix_ + ".read");
+  write_span_ = telemetry_->tracer.Intern(metric_prefix_ + ".write");
   telemetry_->registry.AddProvider(metric_prefix_, [this] { PublishMetrics(); });
   audit_l2p_ = telemetry_->audit.Register(metric_prefix_ + ".l2p");
   provenance_ingress_ = telemetry_->provenance.RegisterDomain(metric_prefix_);

@@ -150,6 +150,9 @@ class HostFtlBlockDevice final : public BlockDevice {
   Telemetry* telemetry_ BLOCKHEAD_SIM_GLOBAL = nullptr;
   std::string metric_prefix_ BLOCKHEAD_SIM_GLOBAL;
   int sampler_group_ BLOCKHEAD_SIM_GLOBAL = -1;  // Timeline group for free-space / WA gauges.
+  // Span names interned at attach time, so host I/O opens spans without building strings.
+  Tracer::SpanName* read_span_ BLOCKHEAD_SIM_GLOBAL = nullptr;
+  Tracer::SpanName* write_span_ BLOCKHEAD_SIM_GLOBAL = nullptr;
   // Logical bytes accepted from the host, accumulated into the provenance ledger's domain
   // "<prefix>" as a link in the factorized-WA chain.
   Bytes* provenance_ingress_ BLOCKHEAD_SIM_GLOBAL = nullptr;

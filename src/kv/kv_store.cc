@@ -390,7 +390,7 @@ Result<SimTime> KvStore::Put(std::string_view key, std::string_view value, SimTi
   stats_.puts++;
   Tracer::Span span;
   if (telemetry_ != nullptr) {
-    span = telemetry_->tracer.Start(metric_prefix_ + ".put", now);
+    span = telemetry_->tracer.Start(put_span_, now);
   }
   Result<SimTime> done = ApplyWrite(key, KvEntryType::kValue, value, now);
   if (done.ok()) {
@@ -710,7 +710,7 @@ Result<KvStore::GetResult> KvStore::Get(std::string_view key, SimTime now) {
   stats_.gets++;
   Tracer::Span span;
   if (telemetry_ != nullptr) {
-    span = telemetry_->tracer.Start(metric_prefix_ + ".get", now);
+    span = telemetry_->tracer.Start(get_span_, now);
   }
   GetResult result;
   result.completion = now;
@@ -898,8 +898,12 @@ void KvStore::AttachTelemetry(Telemetry* telemetry, std::string_view prefix) {
     provenance_ingress_ = nullptr;
     audit_memtable_ = nullptr;
     audit_manifest_ = nullptr;
+    put_span_ = nullptr;
+    get_span_ = nullptr;
     return;
   }
+  put_span_ = telemetry_->tracer.Intern(metric_prefix_ + ".put");
+  get_span_ = telemetry_->tracer.Intern(metric_prefix_ + ".get");
   telemetry_->registry.AddProvider(metric_prefix_, [this] { PublishMetrics(); });
   provenance_ingress_ = telemetry_->provenance.RegisterDomain(metric_prefix_);
   audit_memtable_ = telemetry_->audit.Register(metric_prefix_ + ".memtable");

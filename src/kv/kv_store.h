@@ -155,6 +155,9 @@ class KvStore {
   KvStats stats_;
   Telemetry* telemetry_ = nullptr;
   std::string metric_prefix_;
+  // Span names interned at attach time, so Put/Get open spans without building strings.
+  Tracer::SpanName* put_span_ BLOCKHEAD_SIM_GLOBAL = nullptr;
+  Tracer::SpanName* get_span_ BLOCKHEAD_SIM_GLOBAL = nullptr;
   // User bytes accepted by Put/Delete, accumulated into the provenance ledger's domain
   // "<prefix>" as the top link of the factorized-WA chain.
   Bytes* provenance_ingress_ = nullptr;

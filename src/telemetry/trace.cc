@@ -16,13 +16,22 @@ void Tracer::Span::Abandon() {
   }
 }
 
-Tracer::Span Tracer::Start(std::string_view name, SimTime begin) {
+Tracer::SpanName* Tracer::Intern(std::string_view name) {
+  auto it = names_.find(name);
+  if (it == names_.end()) {
+    it = names_.emplace(std::string(name), SpanName{}).first;
+    it->second.name = it->first;
+  }
+  return &it->second;
+}
+
+Tracer::Span Tracer::Start(SpanName* name, SimTime begin) {
   OpenSpan s;
   s.id = next_id_++;
-  s.name = std::string(name);
+  s.name = name;
   s.begin = begin;
-  open_.push_back(std::move(s));
-  return Span(this, open_.back().id);
+  open_.push_back(s);
+  return Span(this, s.id);
 }
 
 void Tracer::Charge(const SpanComponents& c) {
@@ -39,20 +48,28 @@ void Tracer::Finish(std::uint64_t id, SimTime end) {
     if (open_[i].id != id) {
       continue;
     }
-    const OpenSpan s = std::move(open_[i]);
+    const OpenSpan s = open_[i];
     open_.erase(open_.begin() + static_cast<std::ptrdiff_t>(i));
     const SimTime total = end > s.begin ? end - s.begin : 0;
     const SimTime attributed =
         s.components.queue_ns + s.components.gc_ns + s.components.flash_ns;
     const SimTime host = total > attributed ? total - attributed : 0;
-    const std::string prefix = "span." + s.name;
-    registry_->GetHistogram(prefix + ".total_ns")->Record(total);
-    registry_->GetHistogram(prefix + ".queue_ns")->Record(s.components.queue_ns);
-    registry_->GetHistogram(prefix + ".gc_ns")->Record(s.components.gc_ns);
-    registry_->GetHistogram(prefix + ".flash_ns")->Record(s.components.flash_ns);
-    registry_->GetHistogram(prefix + ".host_ns")->Record(host);
+    SpanName& n = *s.name;
+    if (n.total_ns == nullptr) {
+      const std::string prefix = "span." + n.name;
+      n.total_ns = registry_->GetHistogram(prefix + ".total_ns");
+      n.queue_ns = registry_->GetHistogram(prefix + ".queue_ns");
+      n.gc_ns = registry_->GetHistogram(prefix + ".gc_ns");
+      n.flash_ns = registry_->GetHistogram(prefix + ".flash_ns");
+      n.host_ns = registry_->GetHistogram(prefix + ".host_ns");
+    }
+    n.total_ns->Record(total);
+    n.queue_ns->Record(s.components.queue_ns);
+    n.gc_ns->Record(s.components.gc_ns);
+    n.flash_ns->Record(s.components.flash_ns);
+    n.host_ns->Record(host);
     if (timeline_ != nullptr) {
-      timeline_->RecordSpan(s.name, s.begin, end);
+      timeline_->RecordSpan(n.name, s.begin, end);
     }
     return;
   }
@@ -67,7 +84,11 @@ void Tracer::AbandonOpen() {
 void Tracer::Remove(std::uint64_t id) {
   for (std::size_t i = 0; i < open_.size(); ++i) {
     if (open_[i].id == id) {
-      registry_->GetCounter("span." + open_[i].name + ".abandoned")->Add(1);
+      SpanName& n = *open_[i].name;
+      if (n.abandoned == nullptr) {
+        n.abandoned = registry_->GetCounter("span." + n.name + ".abandoned");
+      }
+      n.abandoned->Add(1);
       open_.erase(open_.begin() + static_cast<std::ptrdiff_t>(i));
       return;
     }

@@ -26,6 +26,12 @@
 // A span destroyed without End() (error paths) records no histograms, but bumps the
 // span.<name>.abandoned counter so leaked/error-path spans are visible in snapshots.
 //
+// Span names are interned: Intern() returns one stable SpanName record per name, holding the
+// five histogram pointers and the abandoned counter. Layers intern their names at attach time
+// and open spans by record, so Start/End build no strings and do no registry lookups. The
+// record's instruments are resolved from the registry the first time a span of that name ends
+// (or is abandoned), so a name that never records registers no metrics.
+//
 // When a Timeline is attached (set_timeline), every ended span is additionally recorded as a
 // duration slice on the timeline's host-ops track, SimTime-stamped, for Perfetto export.
 
@@ -33,6 +39,7 @@
 #define BLOCKHEAD_SRC_TELEMETRY_TRACE_H_
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -92,8 +99,24 @@ class Tracer {
     std::uint64_t id_ BLOCKHEAD_SIM_GLOBAL = 0;
   };
 
-  // Opens a span named `name` starting at `begin` (SimTime).
-  Span Start(std::string_view name, SimTime begin);
+  // An interned span name and its recording instruments (see file comment).
+  struct SpanName {
+    std::string name;
+    Histogram* total_ns = nullptr;  // Null until the first span of this name ends.
+    Histogram* queue_ns = nullptr;
+    Histogram* gc_ns = nullptr;
+    Histogram* flash_ns = nullptr;
+    Histogram* host_ns = nullptr;
+    Counter* abandoned = nullptr;  // Null until the first span of this name is abandoned.
+  };
+
+  // The record for `name`, created on first use. Valid for the tracer's lifetime.
+  SpanName* Intern(std::string_view name);
+
+  // Opens a span of an interned name starting at `begin` (SimTime).
+  Span Start(SpanName* name, SimTime begin);
+  // Convenience for cold paths: interns `name` (one map lookup), then opens the span.
+  Span Start(std::string_view name, SimTime begin) { return Start(Intern(name), begin); }
 
   // Attaches a timeline that receives every ended span as a slice (nullptr detaches).
   void set_timeline(Timeline* timeline) { timeline_ = timeline; }
@@ -114,7 +137,7 @@ class Tracer {
  private:
   struct OpenSpan {
     std::uint64_t id = 0;
-    std::string name;
+    SpanName* name = nullptr;
     SimTime begin = 0;
     SpanComponents components;
   };
@@ -125,6 +148,8 @@ class Tracer {
   MetricRegistry* registry_ BLOCKHEAD_SIM_GLOBAL;
   Timeline* timeline_ BLOCKHEAD_SIM_GLOBAL = nullptr;
   std::vector<OpenSpan> open_ BLOCKHEAD_SIM_GLOBAL;
+  std::map<std::string, SpanName, std::less<>> names_
+      BLOCKHEAD_SIM_GLOBAL;  // Interned names; map nodes never move.
   std::uint64_t next_id_ BLOCKHEAD_SIM_GLOBAL = 1;
 };
 

@@ -292,7 +292,7 @@ Result<SimTime> ZoneFileSystem::Append(std::string_view name,
   }
   Tracer::Span span;
   if (telemetry_ != nullptr) {
-    span = telemetry_->tracer.Start(metric_prefix_ + ".append", now);
+    span = telemetry_->tracer.Start(append_span_, now);
   }
   SimTime done = now;
   std::size_t consumed = 0;
@@ -336,7 +336,7 @@ Result<SimTime> ZoneFileSystem::Read(std::string_view name, std::uint64_t offset
   stats_.bytes_read += out.size();
   Tracer::Span span;
   if (telemetry_ != nullptr) {
-    span = telemetry_->tracer.Start(metric_prefix_ + ".read", now);
+    span = telemetry_->tracer.Start(read_span_, now);
   }
 
   SimTime done_all = now;
@@ -763,8 +763,12 @@ void ZoneFileSystem::AttachTelemetry(Telemetry* telemetry, std::string_view pref
   if (telemetry_ == nullptr) {
     provenance_ingress_ = nullptr;
     audit_files_ = nullptr;
+    append_span_ = nullptr;
+    read_span_ = nullptr;
     return;
   }
+  append_span_ = telemetry_->tracer.Intern(metric_prefix_ + ".append");
+  read_span_ = telemetry_->tracer.Intern(metric_prefix_ + ".read");
   telemetry_->registry.AddProvider(metric_prefix_, [this] { PublishMetrics(); });
   audit_files_ = telemetry_->audit.Register(metric_prefix_ + ".extents");
   provenance_ingress_ = telemetry_->provenance.RegisterDomain(metric_prefix_);

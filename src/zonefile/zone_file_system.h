@@ -221,6 +221,9 @@ class ZoneFileSystem {
   Telemetry* telemetry_ = nullptr;
   std::string metric_prefix_;
   int sampler_group_ = -1;  // Timeline group for free-space / WA gauges.
+  // Span names interned at attach time, so Append/Read open spans without building strings.
+  Tracer::SpanName* append_span_ BLOCKHEAD_SIM_GLOBAL = nullptr;
+  Tracer::SpanName* read_span_ BLOCKHEAD_SIM_GLOBAL = nullptr;
   // Application bytes accepted by Append, accumulated into the provenance ledger's domain
   // "<prefix>" as a link in the factorized-WA chain.
   Bytes* provenance_ingress_ = nullptr;

@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
 #include <map>
 #include <numeric>
 #include <vector>
 
 #include "src/ftl/conventional_ssd.h"
+#include "src/ftl/victim_index.h"
 #include "src/util/rng.h"
 
 namespace blockhead {
@@ -389,6 +392,148 @@ TEST_P(OpSweepTest, ChurnKeepsInvariants) {
 
 INSTANTIATE_TEST_SUITE_P(OpFractions, OpSweepTest,
                          ::testing::Values(0.0, 0.07, 0.125, 0.25, 0.28));
+
+TEST(ConventionalSsdTest, CostBenefitAndWearMigrationKeepIndexConsistent) {
+  FlashConfig fc = SmallFlash();
+  fc.store_data = false;
+  FtlConfig f = DefaultFtl();
+  f.victim_policy = GcVictimPolicy::kCostBenefit;
+  f.wear_migrate_interval = 4;  // Many wear-migration cycles, which bypass the index pick.
+  ConventionalSsd ssd(fc, f);
+  Rng rng(14);
+  SimTime t = 0;
+  const std::uint64_t n = ssd.num_blocks();
+  for (std::uint64_t i = 0; i < 3 * n; ++i) {
+    auto w = ssd.WriteBlocks(Lba{rng.NextBelow(n)}, 1, t);
+    ASSERT_TRUE(w.ok());
+    t = w.value();
+    if (i % 512 == 0) {
+      ASSERT_TRUE(ssd.CheckConsistency().ok()) << "after write " << i;
+    }
+  }
+  EXPECT_GT(ssd.ftl_stats().wear_migrations, 0u);
+  EXPECT_TRUE(ssd.CheckConsistency().ok());
+}
+
+// The mapping tables hold 32-bit page numbers, ~0 meaning unmapped, so a geometry with
+// 2^32 - 1 pages or more must stop the process before anything is allocated. The address
+// space cap turns an allocation made before the guard into a different death (bad_alloc),
+// which the message match then rejects. Sanitizer runtimes need the address space, so they
+// run without the cap.
+TEST(ConventionalSsdDeathTest, GeometryBeyond32BitPageNumbersAborts) {
+  FlashConfig fc = SmallFlash();
+  fc.store_data = false;
+  fc.geometry.channels = 1;
+  fc.geometry.planes_per_channel = 1;
+  fc.geometry.blocks_per_plane = 65535;  // 65535 * 65537 = 2^32 - 1 pages: the first refused.
+  fc.geometry.pages_per_block = 65537;
+  auto construct = [&fc] {
+#if !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)
+    const rlimit cap{256u << 20, 256u << 20};
+    setrlimit(RLIMIT_AS, &cap);
+#endif
+    ConventionalSsd ssd(fc, DefaultFtl());
+  };
+  EXPECT_DEATH(construct(), "32-bit mapping tables");
+  fc.geometry.blocks_per_plane = 65536;  // 2^32 pages.
+  fc.geometry.pages_per_block = 65536;
+  EXPECT_DEATH(construct(), "32-bit mapping tables");
+}
+
+// Reference for VictimIndex::PickGreedy: the rotating scan ConventionalSsd::PickVictim ran
+// over every block before the index existed. It keeps the first strict minimum of valid pages
+// in scan order from `start`, wrapping; `valid[b] < 0` marks a non-member.
+VictimIndex::Pick ScanPick(const std::vector<int>& valid, std::uint64_t start) {
+  VictimIndex::Pick best;
+  for (std::uint64_t i = 0; i < valid.size(); ++i) {
+    const std::uint64_t b = (start + i) % valid.size();
+    if (valid[b] < 0) {
+      continue;
+    }
+    if (best.block == VictimIndex::kNone || static_cast<std::uint32_t>(valid[b]) < best.valid) {
+      best = VictimIndex::Pick{b, static_cast<std::uint32_t>(valid[b])};
+    }
+  }
+  return best;
+}
+
+TEST(VictimIndexTest, TiesBreakFromTheStartAndWrapAround) {
+  VictimIndex index(10, 4);
+  EXPECT_EQ(index.PickGreedy(0).block, VictimIndex::kNone);
+  index.Insert(2, 1);
+  index.Insert(7, 1);
+  index.Insert(5, 3);
+  EXPECT_EQ(index.PickGreedy(0).block, 2u);
+  EXPECT_EQ(index.PickGreedy(2).block, 2u);
+  EXPECT_EQ(index.PickGreedy(3).block, 7u);
+  EXPECT_EQ(index.PickGreedy(8).block, 2u);  // Wraps past block 9.
+  EXPECT_EQ(index.PickGreedy(8).valid, 1u);
+  for (std::uint32_t v = 3; v > 0; --v) {
+    index.Decrement(5, v);
+  }
+  EXPECT_TRUE(index.InBucket(5, 0));
+  EXPECT_EQ(index.PickGreedy(8).block, 5u);  // A dead block beats every tie.
+  index.Remove(5, 0);
+  index.Remove(2, 1);
+  index.Remove(7, 1);
+  EXPECT_EQ(index.size(), 0u);
+  EXPECT_EQ(index.PickGreedy(4).block, VictimIndex::kNone);
+}
+
+TEST(VictimIndexTest, RandomStreamMatchesRotatingScan) {
+  constexpr std::uint64_t kBlocks = 150;  // Not a multiple of 64: the last word is partial.
+  constexpr std::uint32_t kMaxValid = 6;  // Few buckets, so ties are the common case.
+  VictimIndex index(kBlocks, kMaxValid);
+  std::vector<int> valid(kBlocks, -1);
+  Rng rng(2024);
+  std::uint64_t empty = 0, all_full = 0, wrapped = 0, tied = 0;
+  for (int op = 0; op < 45000; ++op) {
+    // Cycles of fill, churn and drain phases, so the empty and crowded states both recur.
+    // Fills in even cycles insert fully valid blocks only: the all-full-valid state.
+    const int phase = (op / 1500) % 3;
+    const bool all_full_fill = (op / 4500) % 2 == 0;
+    const std::uint64_t b = rng.NextBelow(kBlocks);
+    if (valid[b] < 0) {
+      if (phase == 0 || (phase == 1 && rng.NextBool(0.3))) {
+        const int v = phase == 0 && all_full_fill
+                          ? static_cast<int>(kMaxValid)
+                          : static_cast<int>(rng.NextBelow(kMaxValid + 1));
+        index.Insert(b, static_cast<std::uint32_t>(v));
+        valid[b] = v;
+      }
+    } else if (phase == 2 || (phase == 1 && rng.NextBool(0.3))) {
+      index.Remove(b, static_cast<std::uint32_t>(valid[b]));
+      valid[b] = -1;
+    } else if (phase == 1 && valid[b] > 0) {
+      index.Decrement(b, static_cast<std::uint32_t>(valid[b]));
+      valid[b]--;
+    }
+
+    std::uint64_t members = 0;
+    for (int v : valid) {
+      members += v >= 0 ? 1 : 0;
+    }
+    ASSERT_EQ(index.size(), members) << "op " << op;
+    for (const std::uint64_t start : {std::uint64_t{0}, kBlocks - 1, rng.NextBelow(kBlocks)}) {
+      const VictimIndex::Pick want = ScanPick(valid, start);
+      const VictimIndex::Pick got = index.PickGreedy(start);
+      ASSERT_EQ(got.block, want.block) << "op " << op << " start " << start;
+      if (want.block == VictimIndex::kNone) {
+        ++empty;
+        continue;
+      }
+      ASSERT_EQ(got.valid, want.valid) << "op " << op << " start " << start;
+      all_full += want.valid == kMaxValid ? 1 : 0;
+      wrapped += want.block < start ? 1 : 0;
+      tied += index.bucket_size(want.valid) > 1 ? 1 : 0;
+    }
+  }
+  // The stream reaches every case the scan distinguishes.
+  EXPECT_GT(empty, 0u);
+  EXPECT_GT(all_full, 0u);
+  EXPECT_GT(wrapped, 0u);
+  EXPECT_GT(tied, 0u);
+}
 
 }  // namespace
 }  // namespace blockhead

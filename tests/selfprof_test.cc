@@ -10,11 +10,13 @@
 #include <gtest/gtest.h>
 
 #include "bench/bench_main.h"
+#include "src/ftl/conventional_ssd.h"
 #include "src/telemetry/metric_registry.h"
 #include "src/telemetry/selfprof/self_profiler.h"
 #include "src/telemetry/selfprof/sharding_stats.h"
 #include "src/telemetry/telemetry.h"
 #include "src/telemetry/timeline.h"
+#include "src/util/rng.h"
 
 namespace blockhead {
 namespace {
@@ -196,6 +198,41 @@ TEST(SelfProfilerTest, PublishToEmitsHostPrefixedBreakdown) {
   EXPECT_GT(registry.GetCounter("selfprof.host.flash.write.count")->value(), 0u);
   EXPECT_GT(registry.GetCounter("selfprof.host.flash.self_ns")->value(), 0u);
   EXPECT_GT(registry.GetGauge("selfprof.host.ns_per_simulated_op")->value(), 0.0);
+}
+
+// The FTL opens one GC scope per GC cycle and none on writes that only check the free pool,
+// so selfprof's GC count is the cycle count and the inclusive GC time (no nested same-cell
+// scopes) fits inside the profiled wall time.
+TEST(SelfProfilerTest, FtlGcCountIsTheGcCycleCount) {
+  FlashConfig fc;
+  fc.geometry = FlashGeometry::Small();
+  fc.timing = FlashTiming::FastForTests();
+  fc.store_data = false;
+  FtlConfig ftl;
+  ftl.op_fraction = 0.15;
+  Telemetry tel;
+  tel.selfprof.Enable();
+  ConventionalSsd ssd(fc, ftl);
+  ssd.AttachTelemetry(&tel);
+  Rng rng(3);
+  SimTime t = 0;
+  const std::uint64_t n = ssd.num_blocks();
+  for (std::uint64_t i = 0; i < 3 * n; ++i) {
+    auto w = ssd.WriteBlocks(Lba{rng.NextBelow(n)}, 1, t);
+    ASSERT_TRUE(w.ok());
+    t = w.value();
+    if (i % 16 == 0) {
+      ssd.RunBackgroundGc(t, 2);  // Also a no-op check when the pool is above target.
+    }
+  }
+  MetricRegistry registry;
+  tel.selfprof.PublishTo(registry);
+  const std::uint64_t gc_runs = ssd.ftl_stats().gc_runs;
+  ASSERT_GT(gc_runs, 0u);
+  ASSERT_LT(gc_runs, ssd.ftl_stats().host_pages_written);  // Most writes run no GC cycle.
+  EXPECT_EQ(registry.GetCounter("selfprof.host.ftl.gc.count")->value(), gc_runs);
+  EXPECT_LE(registry.GetCounter("selfprof.host.ftl.gc.wall_ns")->value(),
+            registry.GetCounter("selfprof.host.wall_elapsed_ns")->value());
 }
 
 TEST(ShardingStatsTest, OccupancyAndCrossChannelDepsAreDeterministic) {

@@ -143,6 +143,24 @@ TEST(TracerTest, AbandonedSpanRecordsNothingButIsCounted) {
   EXPECT_FALSE(reg.Lookup("span.fine.abandoned"));
 }
 
+TEST(TracerTest, InternedNamesShareRecordsAndRegisterOnlyWhenUsed) {
+  MetricRegistry reg;
+  Tracer tracer(&reg);
+  Tracer::SpanName* op = tracer.Intern("op");
+  EXPECT_EQ(tracer.Intern("op"), op);
+  EXPECT_NE(tracer.Intern("other"), op);
+  // Interning alone registers nothing: metrics appear only once a span records.
+  EXPECT_EQ(reg.size(), 0u);
+  Tracer::Span by_record = tracer.Start(op, 0);
+  by_record.End(10);
+  Tracer::Span by_name = tracer.Start("op", 0);
+  by_name.End(30);
+  EXPECT_EQ(reg.GetHistogram("span.op.total_ns")->count(), 2u);
+  EXPECT_EQ(reg.GetHistogram("span.op.total_ns")->sum(), 40u);
+  EXPECT_FALSE(reg.Lookup("span.other.total_ns"));
+  EXPECT_FALSE(reg.Lookup("span.op.abandoned"));
+}
+
 TEST(TracerTest, EndIsIdempotentAndMovedFromHandleInert) {
   MetricRegistry reg;
   Tracer tracer(&reg);
