@@ -8,7 +8,9 @@
 //   * end-to-end WA (flash bytes / user bytes)           — their product, roughly.
 
 #include <cstdio>
+#include <string>
 
+#include "bench/bench_main.h"
 #include "src/core/matched_pair.h"
 #include "src/kv/block_env.h"
 #include "src/kv/kv_store.h"
@@ -42,7 +44,7 @@ struct WaResult {
   bool ok = false;
 };
 
-WaResult RunChurn(Env* env, const FlashDevice& flash) {
+WaResult RunChurn(Env* env, const FlashDevice& flash, Telemetry* tel, const std::string& prefix) {
   WaResult result;
   KvConfig cfg;
   cfg.memtable_bytes = 64 * kKiB;
@@ -56,6 +58,7 @@ WaResult RunChurn(Env* env, const FlashDevice& flash) {
     return result;
   }
   KvStore& store = *store_or.value();
+  store.AttachTelemetry(tel, prefix);
 
   SimTime t = 0;
   Rng rng(5);
@@ -87,7 +90,9 @@ WaResult RunChurn(Env* env, const FlashDevice& flash) {
 
 }  // namespace
 
-int main() {
+int RunBench(const BenchOptions& opts, Telemetry& tel) {
+  MaybeEnableTimeline(opts, tel);
+
   std::printf("=== E6: LSM KV-store write amplification, conventional vs ZNS ===\n");
   std::printf("Paper claim (§2.4, CMU): RocksDB WA drops from ~5x to ~1.2x on ZNS.\n");
   std::printf("Workload: %llu-key load + %llu random overwrites (%zu B values).\n\n",
@@ -104,10 +109,12 @@ int main() {
   mcfg.ftl.op_fraction = 0.07;
 
   ConventionalSsd ssd(mcfg.flash, mcfg.ftl);
+  ssd.AttachTelemetry(&tel, "conv");
   BlockEnv block_env(&ssd);
-  const WaResult conv = RunChurn(&block_env, ssd.flash());
+  const WaResult conv = RunChurn(&block_env, ssd.flash(), &tel, "conv.kv");
 
   ZnsDevice zns(mcfg.flash, mcfg.zns);
+  zns.AttachTelemetry(&tel, "zns");
   ZoneFileConfig zf_cfg;
   zf_cfg.finish_remainder_pages = 16;  // Seal nearly-full zones at table boundaries (ZenFS).
   auto fs = ZoneFileSystem::Format(&zns, zf_cfg, 0);
@@ -115,8 +122,9 @@ int main() {
     std::fprintf(stderr, "format failed: %s\n", fs.status().ToString().c_str());
     return 1;
   }
+  fs.value()->AttachTelemetry(&tel, "zns.zonefile");
   ZoneEnv zone_env(fs.value().get());
-  const WaResult zoned = RunChurn(&zone_env, zns.flash());
+  const WaResult zoned = RunChurn(&zone_env, zns.flash(), &tel, "zns.kv");
 
   if (!conv.ok || !zoned.ok) {
     return 1;
@@ -135,5 +143,9 @@ int main() {
               "several-fold (FTL GC under fragmented SSTable churn), ZNS close to 1x (hint-\n"
               "grouped SSTables die with their zones; resets copy nothing). The LSM's own WA is\n"
               "interface-independent and appears on both sides.\n");
-  return 0;
+  return FinishBench(opts, "bench_kv_rocksdb", tel);
+}
+
+int main(int argc, char** argv) {
+  return RunBenchMain(argc, argv, "bench_kv_rocksdb", RunBench);
 }

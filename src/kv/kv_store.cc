@@ -78,6 +78,8 @@ class ByteReader {
 KvStore::KvStore(Env* env, const KvConfig& config) : env_(env), config_(config) {
   levels_.resize(config_.max_levels);
   compaction_cursor_.resize(config_.max_levels);
+  stats_.shadowed_by_level.resize(config_.max_levels);
+  SetWal(wal_number_);
 }
 
 std::string KvStore::TableName(std::uint32_t number) {
@@ -90,6 +92,11 @@ std::string KvStore::WalName(std::uint32_t number) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%06u.log", number);
   return buf;
+}
+
+void KvStore::SetWal(std::uint32_t number) {
+  wal_number_ = number;
+  wal_name_ = WalName(number);
 }
 
 Lifetime KvStore::HintForLevel(std::uint32_t level) {
@@ -200,8 +207,8 @@ Status KvStore::RecoverManifest(SimTime now) {
     if (!created.ok()) {
       return created.status();
     }
-    wal_number_ = next_file_number_++;
-    created = env_->CreateFile(WalName(wal_number_), Lifetime::kShort, now);
+    SetWal(next_file_number_++);
+    created = env_->CreateFile(wal_name_, Lifetime::kShort, now);
     if (!created.ok()) {
       return created.status();
     }
@@ -257,7 +264,7 @@ Status KvStore::RecoverManifest(SimTime now) {
         });
       }
     } else if (type == kManifestWal) {
-      wal_number_ = rec.U32();
+      SetWal(rec.U32());
       next_file_number_ = std::max(next_file_number_, wal_number_ + 1);
     } else {
       return Status(ErrorCode::kCorruption, "unknown manifest record");
@@ -283,7 +290,7 @@ Status KvStore::RecoverManifest(SimTime now) {
 }
 
 Status KvStore::RecoverWal(SimTime now) {
-  const std::string wal = WalName(wal_number_);
+  const std::string& wal = wal_name_;
   if (!env_->Exists(wal)) {
     Result<SimTime> created = env_->CreateFile(wal, Lifetime::kShort, now);
     return created.ok() ? Status::Ok() : created.status();
@@ -322,18 +329,18 @@ Status KvStore::RecoverWal(SimTime now) {
 
 Result<SimTime> KvStore::WriteWalRecord(std::string_view key, KvEntryType type,
                                         std::string_view value, SimTime now) {
-  std::vector<std::uint8_t> rec;
-  rec.push_back(type == KvEntryType::kValue ? kWalValue : kWalTombstone);
-  PutString(rec, key);
+  wal_record_.clear();
+  wal_record_.push_back(type == KvEntryType::kValue ? kWalValue : kWalTombstone);
+  PutString(wal_record_, key);
   if (type == KvEntryType::kValue) {
-    PutString(rec, value);
+    PutString(wal_record_, value);
   }
-  Result<SimTime> appended = env_->Append(WalName(wal_number_), rec, now);
+  Result<SimTime> appended = env_->Append(wal_name_, wal_record_, now);
   if (!appended.ok()) {
     return appended;
   }
   if (config_.sync_wal_every_put) {
-    return env_->Sync(WalName(wal_number_), appended.value());
+    return env_->Sync(wal_name_, appended.value());
   }
   return appended;
 }
@@ -349,23 +356,23 @@ Result<SimTime> KvStore::ApplyWrite(std::string_view key, KvEntryType type,
     return logged;
   }
   memtable_bytes_ += key.size() + value.size() + 16;
+  // Overwrites reuse the entry's key and value buffers.
+  auto it = memtable_.lower_bound(key);
+  const bool existed = it != memtable_.end() && it->first == key;
   const bool audit = audit_memtable_ != nullptr && audit_memtable_->armed();
-  std::uint64_t pre = 0;
-  bool existed = false;
-  if (audit) {
-    auto it = memtable_.find(key);
-    if (it != memtable_.end()) {
-      existed = true;
-      pre = MemtableEntryHash(it->first, it->second);
-    }
+  const std::uint64_t pre = audit && existed ? MemtableEntryHash(it->first, it->second) : 0;
+  if (!existed) {
+    it = memtable_.emplace_hint(it, std::string(key), std::nullopt);
   }
-  if (type == KvEntryType::kValue) {
-    memtable_[std::string(key)] = std::string(value);
+  if (type == KvEntryType::kTombstone) {
+    it->second.reset();
+  } else if (it->second.has_value()) {
+    it->second->assign(value);
   } else {
-    memtable_[std::string(key)] = std::nullopt;
+    it->second.emplace(value);
   }
   if (audit) {
-    const std::uint64_t post = MemtableEntryHash(key, memtable_.find(key)->second);
+    const std::uint64_t post = MemtableEntryHash(key, it->second);
     if (existed) {
       audit_memtable_->Replace(logged.value(), pre, post);
     } else {
@@ -448,8 +455,8 @@ Result<SimTime> KvStore::FlushMemtable(SimTime now) {
 
   // Swap in a fresh WAL; the old one is fully covered by the table.
   const std::uint32_t old_wal = wal_number_;
-  wal_number_ = next_file_number_++;
-  Result<SimTime> created = env_->CreateFile(WalName(wal_number_), Lifetime::kShort, t);
+  SetWal(next_file_number_++);
+  Result<SimTime> created = env_->CreateFile(wal_name_, Lifetime::kShort, t);
   if (!created.ok()) {
     return created;
   }
@@ -580,26 +587,48 @@ Result<SimTime> KvStore::CompactLevel(std::uint32_t level, SimTime now) {
     }
   }
 
-  // Merge: apply lower level first, then upper from oldest to newest, so newer entries win.
-  std::map<std::string, KvEntry> merged;
+  // Read the inputs lower level first, then upper from oldest to newest, chaining each read on
+  // the previous one's completion. Each input joins a sorted run: the lower tables, which do
+  // not overlap, share one run in key order; every upper table is a run of its own. Run i+1 is
+  // newer than run i.
+  struct Run {
+    std::vector<SSTableContents> tables;  // Keys ascend within and across tables.
+    std::size_t table = 0;
+    std::size_t entry = 0;
+
+    bool done() const { return table == tables.size(); }
+    const KvEntryRef& head() const { return tables[table].entries[entry]; }
+    void Next() {
+      if (++entry == tables[table].entries.size()) {
+        entry = 0;
+        ++table;
+      }
+    }
+  };
+  std::vector<Run> runs;
   SimTime t = now;
-  auto absorb = [&](const TableMeta& meta) -> Status {
+  auto read_input = [&](const TableMeta& meta, bool may_extend_last_run) -> Status {
     SimTime completion = t;
-    Result<std::vector<KvEntry>> entries = meta.reader->ReadAll(t, &completion);
-    if (!entries.ok()) {
-      return entries.status();
+    Result<SSTableContents> contents = meta.reader->ReadAll(t, &completion);
+    if (!contents.ok()) {
+      return contents.status();
     }
     t = std::max(t, completion);
-    for (KvEntry& entry : entries.value()) {
-      merged[entry.key] = std::move(entry);
+    if (contents->entries.empty()) {
+      return Status::Ok();
     }
+    if (!may_extend_last_run || runs.empty() ||
+        runs.back().tables.back().entries.back().key >= contents->entries.front().key) {
+      runs.emplace_back();
+    }
+    runs.back().tables.push_back(std::move(contents).value());
     return Status::Ok();
   };
   for (const TableMeta& meta : lower) {
-    BLOCKHEAD_RETURN_IF_ERROR(absorb(meta));
+    BLOCKHEAD_RETURN_IF_ERROR(read_input(meta, /*may_extend_last_run=*/true));
   }
   for (auto it = upper.rbegin(); it != upper.rend(); ++it) {  // Oldest first.
-    BLOCKHEAD_RETURN_IF_ERROR(absorb(*it));
+    BLOCKHEAD_RETURN_IF_ERROR(read_input(*it, /*may_extend_last_run=*/false));
   }
 
   // Write output tables, dropping tombstones when compacting into the bottom level.
@@ -639,19 +668,39 @@ Result<SimTime> KvStore::CompactLevel(std::uint32_t level, SimTime now) {
     return Status::Ok();
   };
 
-  for (auto& [key, entry] : merged) {
+  // Newest-wins k-way merge over the runs' heads, in place: take the smallest key, from the
+  // newest run that holds it, and skip the older runs' versions of it.
+  while (true) {
+    Run* newest = nullptr;
+    for (Run& run : runs) {
+      if (!run.done() && (newest == nullptr || run.head().key <= newest->head().key)) {
+        newest = &run;
+      }
+    }
+    if (newest == nullptr) {
+      break;
+    }
+    const KvEntryRef& entry = newest->head();
+    for (Run& run : runs) {
+      if (&run != newest && !run.done() && run.head().key == entry.key) {
+        run.Next();
+        stats_.shadowed_by_level[out_level]++;
+      }
+    }
     if (bottom && entry.type == KvEntryType::kTombstone) {
-      continue;
+      stats_.tombstones_dropped++;
+    } else {
+      if (builder == nullptr) {
+        builder_file_number = next_file_number_++;
+        builder = std::make_unique<SSTableBuilder>(env_, TableName(builder_file_number), opts);
+        BLOCKHEAD_RETURN_IF_ERROR(builder->Start(t));
+      }
+      BLOCKHEAD_RETURN_IF_ERROR(builder->Add(entry.key, entry.type, entry.value, t));
+      if (builder->file_bytes() >= config_.target_table_bytes) {
+        BLOCKHEAD_RETURN_IF_ERROR(finish_builder());
+      }
     }
-    if (builder == nullptr) {
-      builder_file_number = next_file_number_++;
-      builder = std::make_unique<SSTableBuilder>(env_, TableName(builder_file_number), opts);
-      BLOCKHEAD_RETURN_IF_ERROR(builder->Start(t));
-    }
-    BLOCKHEAD_RETURN_IF_ERROR(builder->Add(key, entry.type, entry.value, t));
-    if (builder->file_bytes() >= config_.target_table_bytes) {
-      BLOCKHEAD_RETURN_IF_ERROR(finish_builder());
-    }
+    newest->Next();
   }
   BLOCKHEAD_RETURN_IF_ERROR(finish_builder());
 
@@ -742,7 +791,7 @@ Result<KvStore::GetResult> KvStore::Get(std::string_view key, SimTime now) {
     }
     if (r->type == KvEntryType::kValue) {
       result.found = true;
-      result.value = std::move(r->value);
+      result.value = std::move(r.value().value);
       stats_.gets_found++;
     }
     return true;  // Found a definitive answer (value or tombstone).

@@ -58,6 +58,11 @@ struct KvStats {
   std::uint64_t bytes_compacted = 0;
   std::uint64_t bloom_skips = 0;
   std::uint64_t stall_events = 0;
+  // Compaction merge detail (not published as metrics). shadowed_by_level[L] counts the
+  // entries merges into level L dropped because a newer input held the same key;
+  // tombstones_dropped counts tombstones discarded on the way into the bottom level.
+  std::vector<std::uint64_t> shadowed_by_level;
+  std::uint64_t tombstones_dropped = 0;
 };
 
 class KvStore {
@@ -116,6 +121,8 @@ class KvStore {
   static std::string TableName(std::uint32_t number);
   static std::string WalName(std::uint32_t number);
   static Lifetime HintForLevel(std::uint32_t level);
+  // Switches to WAL `number`, keeping its file name at hand for the per-write appends.
+  void SetWal(std::uint32_t number);
 
   Status RecoverManifest(SimTime now);
   Status RecoverWal(SimTime now);
@@ -149,6 +156,8 @@ class KvStore {
   std::vector<std::vector<TableMeta>> levels_;  // levels_[0] newest-first; >=1 key-sorted.
   std::uint32_t next_file_number_ = 1;
   std::uint32_t wal_number_ = 0;
+  std::string wal_name_;                  // WalName(wal_number_).
+  std::vector<std::uint8_t> wal_record_;  // Scratch buffer for the record being logged.
   std::vector<std::string> compaction_cursor_;  // Per-level round-robin key cursor.
   SimTime stall_until_ = 0;
 

@@ -44,50 +44,112 @@ std::uint16_t GetU16(const std::uint8_t* p) {
   return static_cast<std::uint16_t>(p[0] | (p[1] << 8));
 }
 
-// FNV-1a 64-bit.
-std::uint64_t HashKey(std::string_view key, std::uint64_t seed) {
-  std::uint64_t h = 1469598103934665603ULL ^ seed;
-  for (const char c : key) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 1099511628211ULL;
+void EncodeU16(std::uint8_t* p, std::uint16_t v) {
+  p[0] = static_cast<std::uint8_t>(v);
+  p[1] = static_cast<std::uint8_t>(v >> 8);
+}
+void EncodeU32(std::uint8_t* p, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) {
+    p[i] = static_cast<std::uint8_t>(v >> (8 * i));
   }
-  return h;
+}
+void CopyBytes(std::uint8_t* p, std::string_view s) {
+  if (!s.empty()) {
+    std::memcpy(p, s.data(), s.size());
+  }
+}
+
+// Data-block entry framing: key_len u16 | key | type u8 | value_len u32 | value.
+constexpr std::size_t kEntryHeaderBytes = 7;
+// Index entry framing: offset u64 | size u32 | last_key_len u16 | last_key.
+constexpr std::size_t kIndexHeaderBytes = 14;
+
+// Decodes one data block in place, calling fn(const KvEntryRef&) for each entry in order. The
+// framing of every entry is checked, and a remainder too short to hold an entry is corruption,
+// not a clean end of block.
+template <typename Fn>
+Status ForEachEntry(std::span<const std::uint8_t> block, Fn&& fn) {
+  const std::size_t size = block.size();
+  std::size_t pos = 0;
+  while (pos < size) {
+    if (size - pos < kEntryHeaderBytes) {
+      return Status(ErrorCode::kCorruption, "truncated entry header");
+    }
+    const std::uint16_t klen = GetU16(block.data() + pos);
+    pos += 2;
+    if (size - pos < klen + 5u) {
+      return Status(ErrorCode::kCorruption, "truncated entry key");
+    }
+    KvEntryRef entry;
+    entry.key = std::string_view(reinterpret_cast<const char*>(block.data() + pos), klen);
+    pos += klen;
+    entry.type = static_cast<KvEntryType>(block[pos]);
+    pos += 1;
+    const std::uint32_t vlen = GetU32(block.data() + pos);
+    pos += 4;
+    if (size - pos < vlen) {
+      return Status(ErrorCode::kCorruption, "truncated entry value");
+    }
+    entry.value = std::string_view(reinterpret_cast<const char*>(block.data() + pos), vlen);
+    pos += vlen;
+    fn(entry);
+  }
+  return Status::Ok();
 }
 
 }  // namespace
 
 // --- BloomFilter ---
 
-BloomFilter BloomFilter::Build(const std::vector<std::string>& keys,
-                               std::uint32_t bits_per_key) {
+BloomHash BloomHash::Of(std::string_view key) {
+  // Two FNV-1a 64-bit hashes that differ only in their seed, computed in one pass.
+  std::uint64_t h1 = 1469598103934665603ULL;
+  std::uint64_t h2 = 1469598103934665603ULL ^ 0x9E3779B97F4A7C15ULL;
+  for (const char c : key) {
+    const auto byte = static_cast<std::uint8_t>(c);
+    h1 = (h1 ^ byte) * 1099511628211ULL;
+    h2 = (h2 ^ byte) * 1099511628211ULL;
+  }
+  return BloomHash{h1, h2 | 1};
+}
+
+BloomFilter BloomFilter::Build(std::span<const BloomHash> hashes, std::uint32_t bits_per_key) {
   BloomFilter f;
-  if (keys.empty() || bits_per_key == 0) {
+  if (hashes.empty() || bits_per_key == 0) {
     return f;
   }
-  f.bit_count_ = static_cast<std::uint32_t>(std::max<std::size_t>(64, keys.size() * bits_per_key));
+  f.bit_count_ =
+      static_cast<std::uint32_t>(std::max<std::size_t>(64, hashes.size() * bits_per_key));
   // k = bits_per_key * ln2, clamped.
   f.k_ = std::clamp<std::uint32_t>(
       static_cast<std::uint32_t>(static_cast<double>(bits_per_key) * 0.69), 1, 16);
   f.bits_.assign((f.bit_count_ + 7) / 8, 0);
-  for (const std::string& key : keys) {
-    const std::uint64_t h1 = HashKey(key, 0);
-    const std::uint64_t h2 = HashKey(key, 0x9E3779B97F4A7C15ULL) | 1;
+  for (const BloomHash& h : hashes) {
     for (std::uint32_t i = 0; i < f.k_; ++i) {
-      const std::uint64_t bit = (h1 + i * h2) % f.bit_count_;
+      const std::uint64_t bit = (h.h1 + i * h.h2) % f.bit_count_;
       f.bits_[bit / 8] |= static_cast<std::uint8_t>(1U << (bit % 8));
     }
   }
   return f;
 }
 
+BloomFilter BloomFilter::Build(const std::vector<std::string>& keys,
+                               std::uint32_t bits_per_key) {
+  std::vector<BloomHash> hashes;
+  hashes.reserve(keys.size());
+  for (const std::string& key : keys) {
+    hashes.push_back(BloomHash::Of(key));
+  }
+  return Build(hashes, bits_per_key);
+}
+
 bool BloomFilter::MayContain(std::string_view key) const {
   if (bit_count_ == 0) {
     return true;  // No filter -> cannot exclude.
   }
-  const std::uint64_t h1 = HashKey(key, 0);
-  const std::uint64_t h2 = HashKey(key, 0x9E3779B97F4A7C15ULL) | 1;
+  const BloomHash h = BloomHash::Of(key);
   for (std::uint32_t i = 0; i < k_; ++i) {
-    const std::uint64_t bit = (h1 + i * h2) % bit_count_;
+    const std::uint64_t bit = (h.h1 + i * h.h2) % bit_count_;
     if (!(bits_[bit / 8] & (1U << (bit % 8)))) {
       return false;
     }
@@ -145,8 +207,10 @@ Status SSTableBuilder::FlushBlock(SimTime now) {
     return appended.status();
   }
   last_write_ = std::max(last_write_, appended.value());
-  index_.push_back(IndexEntry{offset_, static_cast<std::uint32_t>(block_.size()),
-                              block_last_key_});
+  PutU64(index_, offset_);
+  PutU32(index_, static_cast<std::uint32_t>(block_.size()));
+  PutU16(index_, static_cast<std::uint16_t>(largest_.size()));
+  index_.insert(index_.end(), largest_.begin(), largest_.end());
   offset_ += block_.size();
   block_.clear();
   return Status::Ok();
@@ -157,16 +221,21 @@ Status SSTableBuilder::Add(std::string_view key, KvEntryType type, std::string_v
   assert(started_);
   assert(entry_count_ == 0 || key > largest_);
   if (entry_count_ == 0) {
-    smallest_ = std::string(key);
+    smallest_.assign(key);
   }
-  largest_ = std::string(key);
-  PutU16(block_, static_cast<std::uint16_t>(key.size()));
-  block_.insert(block_.end(), key.begin(), key.end());
-  block_.push_back(static_cast<std::uint8_t>(type));
-  PutU32(block_, static_cast<std::uint32_t>(value.size()));
-  block_.insert(block_.end(), value.begin(), value.end());
-  block_last_key_ = std::string(key);
-  keys_.emplace_back(key);
+  largest_.assign(key);
+  const std::size_t at = block_.size();
+  block_.resize(at + kEntryHeaderBytes + key.size() + value.size());
+  std::uint8_t* p = block_.data() + at;
+  EncodeU16(p, static_cast<std::uint16_t>(key.size()));
+  p += 2;
+  CopyBytes(p, key);
+  p += key.size();
+  *p++ = static_cast<std::uint8_t>(type);
+  EncodeU32(p, static_cast<std::uint32_t>(value.size()));
+  p += 4;
+  CopyBytes(p, value);
+  key_hashes_.push_back(BloomHash::Of(key));
   entry_count_++;
   if (block_.size() >= options_.block_bytes) {
     return FlushBlock(now);
@@ -178,17 +247,12 @@ Result<SimTime> SSTableBuilder::Finish(SimTime now) {
   assert(started_);
   BLOCKHEAD_RETURN_IF_ERROR(FlushBlock(now));
 
-  std::vector<std::uint8_t> tail;
+  // The tail is the index, then the bloom filter, then the footer.
+  std::vector<std::uint8_t>& tail = index_;
   const std::uint64_t index_off = offset_;
-  for (const IndexEntry& e : index_) {
-    PutU64(tail, e.offset);
-    PutU32(tail, e.size);
-    PutU16(tail, static_cast<std::uint16_t>(e.last_key.size()));
-    tail.insert(tail.end(), e.last_key.begin(), e.last_key.end());
-  }
   const std::uint64_t index_len = tail.size();
 
-  const BloomFilter bloom = BloomFilter::Build(keys_, options_.bloom_bits_per_key);
+  const BloomFilter bloom = BloomFilter::Build(key_hashes_, options_.bloom_bits_per_key);
   const std::vector<std::uint8_t> bloom_bytes = bloom.Serialize();
   const std::uint64_t bloom_off = index_off + index_len;
   tail.insert(tail.end(), bloom_bytes.begin(), bloom_bytes.end());
@@ -250,14 +314,20 @@ Result<std::unique_ptr<SSTableReader>> SSTableReader::Open(Env* env, std::string
     }
   }
   std::size_t pos = 0;
-  while (pos + 14 <= index_bytes.size()) {
+  while (pos < index_bytes.size()) {
+    if (index_bytes.size() - pos < kIndexHeaderBytes) {
+      return Status(ErrorCode::kCorruption, "truncated index entry header");
+    }
     IndexEntry e;
     e.offset = GetU64(index_bytes.data() + pos);
     e.size = GetU32(index_bytes.data() + pos + 8);
     const std::uint16_t klen = GetU16(index_bytes.data() + pos + 12);
-    pos += 14;
-    if (pos + klen > index_bytes.size()) {
+    pos += kIndexHeaderBytes;
+    if (index_bytes.size() - pos < klen) {
       return Status(ErrorCode::kCorruption, "truncated index entry");
+    }
+    if (e.offset > index_off || e.size > index_off - e.offset) {
+      return Status(ErrorCode::kCorruption, "index entry outside the data blocks");
     }
     e.last_key.assign(reinterpret_cast<const char*>(index_bytes.data() + pos), klen);
     pos += klen;
@@ -279,30 +349,12 @@ Result<std::unique_ptr<SSTableReader>> SSTableReader::Open(Env* env, std::string
   return reader;
 }
 
-Status SSTableReader::ParseBlock(std::span<const std::uint8_t> block,
-                                 std::vector<KvEntry>* entries) {
-  std::size_t pos = 0;
-  while (pos + 7 <= block.size()) {
-    const std::uint16_t klen = GetU16(block.data() + pos);
-    pos += 2;
-    if (pos + klen + 5 > block.size()) {
-      return Status(ErrorCode::kCorruption, "truncated entry key");
-    }
-    KvEntry entry;
-    entry.key.assign(reinterpret_cast<const char*>(block.data() + pos), klen);
-    pos += klen;
-    entry.type = static_cast<KvEntryType>(block[pos]);
-    pos += 1;
-    const std::uint32_t vlen = GetU32(block.data() + pos);
-    pos += 4;
-    if (pos + vlen > block.size()) {
-      return Status(ErrorCode::kCorruption, "truncated entry value");
-    }
-    entry.value.assign(reinterpret_cast<const char*>(block.data() + pos), vlen);
-    pos += vlen;
-    entries->push_back(std::move(entry));
-  }
-  return Status::Ok();
+std::vector<SSTableReader::IndexEntry>::const_iterator SSTableReader::FindBlock(
+    std::string_view key) const {
+  return std::lower_bound(index_.begin(), index_.end(), key,
+                          [](const IndexEntry& e, std::string_view k) {
+                            return std::string_view(e.last_key) < k;
+                          });
 }
 
 Result<SSTableReader::GetResult> SSTableReader::Get(std::string_view key, SimTime now) const {
@@ -312,11 +364,7 @@ Result<SSTableReader::GetResult> SSTableReader::Get(std::string_view key, SimTim
     result.bloom_skipped = true;
     return result;
   }
-  // First block whose last_key >= key.
-  auto it = std::lower_bound(index_.begin(), index_.end(), key,
-                             [](const IndexEntry& e, std::string_view k) {
-                               return std::string_view(e.last_key) < k;
-                             });
+  auto it = FindBlock(key);
   if (it == index_.end()) {
     return result;
   }
@@ -326,16 +374,15 @@ Result<SSTableReader::GetResult> SSTableReader::Get(std::string_view key, SimTim
     return r.status();
   }
   result.completion = r.value();
-  std::vector<KvEntry> entries;
-  BLOCKHEAD_RETURN_IF_ERROR(ParseBlock(block, &entries));
-  for (const KvEntry& e : entries) {
-    if (e.key == key) {
+  // The whole block is decoded even after the key is found, so a corrupt tail fails the
+  // lookup rather than going unnoticed.
+  BLOCKHEAD_RETURN_IF_ERROR(ForEachEntry(block, [&](const KvEntryRef& e) {
+    if (!result.found && e.key == key) {
       result.found = true;
       result.type = e.type;
-      result.value = e.value;
-      return result;
+      result.value.assign(e.value);
     }
-  }
+  }));
   return result;
 }
 
@@ -344,28 +391,20 @@ Result<std::vector<KvEntry>> SSTableReader::ScanFrom(std::string_view start_key,
                                                      SimTime* completion) const {
   std::vector<KvEntry> out;
   SimTime done = now;
+  std::vector<std::uint8_t> block;
   // First block whose last_key >= start_key; every later block may also contain matches.
-  auto it = std::lower_bound(index_.begin(), index_.end(), start_key,
-                             [](const IndexEntry& e, std::string_view k) {
-                               return std::string_view(e.last_key) < k;
-                             });
-  for (; it != index_.end() && out.size() < limit; ++it) {
-    std::vector<std::uint8_t> block(it->size);
+  for (auto it = FindBlock(start_key); it != index_.end() && out.size() < limit; ++it) {
+    block.resize(it->size);
     Result<SimTime> r = env_->Read(name_, it->offset, block, now);
     if (!r.ok()) {
       return r.status();
     }
     done = std::max(done, r.value());
-    std::vector<KvEntry> entries;
-    BLOCKHEAD_RETURN_IF_ERROR(ParseBlock(block, &entries));
-    for (KvEntry& entry : entries) {
-      if (entry.key >= start_key) {
-        out.push_back(std::move(entry));
-        if (out.size() >= limit) {
-          break;
-        }
+    BLOCKHEAD_RETURN_IF_ERROR(ForEachEntry(block, [&](const KvEntryRef& e) {
+      if (out.size() < limit && e.key >= start_key) {
+        out.push_back(KvEntry{std::string(e.key), e.type, std::string(e.value)});
       }
-    }
+    }));
   }
   if (completion != nullptr) {
     *completion = done;
@@ -373,23 +412,31 @@ Result<std::vector<KvEntry>> SSTableReader::ScanFrom(std::string_view start_key,
   return out;
 }
 
-Result<std::vector<KvEntry>> SSTableReader::ReadAll(SimTime now, SimTime* completion) const {
-  std::vector<KvEntry> all;
-  all.reserve(entry_count_);
-  SimTime done = now;
+Result<SSTableContents> SSTableReader::ReadAll(SimTime now, SimTime* completion) const {
+  SSTableContents contents;
+  std::size_t data_bytes = 0;
   for (const IndexEntry& e : index_) {
-    std::vector<std::uint8_t> block(e.size);
+    data_bytes += e.size;
+  }
+  contents.bytes.resize(data_bytes);
+  contents.entries.reserve(std::min<std::uint64_t>(entry_count_, data_bytes / kEntryHeaderBytes));
+  SimTime done = now;
+  std::size_t at = 0;
+  for (const IndexEntry& e : index_) {
+    const std::span<std::uint8_t> block(contents.bytes.data() + at, e.size);
+    at += e.size;
     Result<SimTime> r = env_->Read(name_, e.offset, block, now);
     if (!r.ok()) {
       return r.status();
     }
     done = std::max(done, r.value());
-    BLOCKHEAD_RETURN_IF_ERROR(ParseBlock(block, &all));
+    BLOCKHEAD_RETURN_IF_ERROR(ForEachEntry(
+        block, [&contents](const KvEntryRef& entry) { contents.entries.push_back(entry); }));
   }
   if (completion != nullptr) {
     *completion = done;
   }
-  return all;
+  return contents;
 }
 
 }  // namespace blockhead

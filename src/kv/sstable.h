@@ -9,7 +9,8 @@
 //
 // The builder streams blocks to the Env as they fill; the reader loads the footer, index, and
 // bloom filter once at open (the "table cache") and then serves point lookups with at most one
-// data-block read.
+// data-block read. Blocks are decoded in place: lookups and compaction inputs view the bytes
+// read from flash, and only the values a caller keeps are copied out.
 
 #ifndef BLOCKHEAD_SRC_KV_SSTABLE_H_
 #define BLOCKHEAD_SRC_KV_SSTABLE_H_
@@ -17,6 +18,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -35,11 +37,41 @@ struct KvEntry {
   std::string value;
 };
 
+// An entry decoded in place: key and value view the block bytes it was read from.
+struct KvEntryRef {
+  std::string_view key;
+  KvEntryType type = KvEntryType::kValue;
+  std::string_view value;
+};
+
+// A table's data blocks as read from flash, every entry decoded in place. Move-only: the views
+// in `entries` point into `bytes`, whose buffer a move keeps and a copy would not.
+struct SSTableContents {
+  SSTableContents() = default;
+  SSTableContents(SSTableContents&&) = default;
+  SSTableContents& operator=(SSTableContents&&) = default;
+  SSTableContents(const SSTableContents&) = delete;
+  SSTableContents& operator=(const SSTableContents&) = delete;
+
+  std::vector<std::uint8_t> bytes;
+  std::vector<KvEntryRef> entries;  // Key order.
+};
+
+// The two FNV-1a hashes a bloom filter derives every probe of one key from.
+struct BloomHash {
+  std::uint64_t h1 = 0;
+  std::uint64_t h2 = 0;  // Odd, so the probe sequence h1 + i*h2 never stalls.
+
+  static BloomHash Of(std::string_view key);
+};
+
 // Blocked bloom-free simple bloom filter with double hashing.
 class BloomFilter {
  public:
   BloomFilter() = default;
 
+  static BloomFilter Build(std::span<const BloomHash> hashes, std::uint32_t bits_per_key);
+  // Hashes each key and builds as above: the same bits for the same keys.
   static BloomFilter Build(const std::vector<std::string>& keys, std::uint32_t bits_per_key);
   static Result<BloomFilter> Deserialize(std::span<const std::uint8_t> bytes);
 
@@ -78,25 +110,18 @@ class SSTableBuilder {
   SimTime last_write_completion() const { return last_write_; }
 
  private:
-  struct IndexEntry {
-    std::uint64_t offset = 0;
-    std::uint32_t size = 0;
-    std::string last_key;
-  };
-
   Status FlushBlock(SimTime now);
 
   Env* env_;
   std::string name_;
   SSTableBuilderOptions options_;
   std::vector<std::uint8_t> block_;
-  std::vector<IndexEntry> index_;
-  std::vector<std::string> keys_;  // For the bloom filter.
+  std::vector<std::uint8_t> index_;       // Serialized entries of the blocks flushed so far.
+  std::vector<BloomHash> key_hashes_;     // For the bloom filter.
   std::uint64_t offset_ = 0;
   std::uint64_t entry_count_ = 0;
   std::string smallest_;
-  std::string largest_;
-  std::string block_last_key_;
+  std::string largest_;  // Also the current block's last key, which FlushBlock indexes.
   SimTime last_write_ = 0;
   bool started_ = false;
 };
@@ -116,8 +141,9 @@ class SSTableReader {
 
   Result<GetResult> Get(std::string_view key, SimTime now) const;
 
-  // Reads every entry in order (used by compaction).
-  Result<std::vector<KvEntry>> ReadAll(SimTime now, SimTime* completion = nullptr) const;
+  // Reads every data block, one Env read each, and decodes every entry in place, in order
+  // (used by compaction).
+  Result<SSTableContents> ReadAll(SimTime now, SimTime* completion = nullptr) const;
 
   // Reads up to `limit` entries with key >= start_key, in order, touching only the data
   // blocks that can contain them (used by range scans).
@@ -136,8 +162,8 @@ class SSTableReader {
 
   SSTableReader(Env* env, std::string name) : env_(env), name_(std::move(name)) {}
 
-  static Status ParseBlock(std::span<const std::uint8_t> block,
-                           std::vector<KvEntry>* entries);
+  // First block whose last key is >= key (end() if none).
+  std::vector<IndexEntry>::const_iterator FindBlock(std::string_view key) const;
 
   Env* env_;
   std::string name_;

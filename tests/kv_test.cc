@@ -6,7 +6,10 @@
 
 #include <map>
 #include <set>
+#include <span>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "src/ftl/conventional_ssd.h"
 #include "src/kv/block_env.h"
@@ -45,6 +48,58 @@ std::string ValueOf(std::uint64_t n, std::size_t len = 64) {
   v.resize(len);
   return v;
 }
+
+// FNV-1a 64-bit over a byte string: a fingerprint of a file's exact contents.
+std::uint64_t Fnv1a(std::span<const std::uint8_t> bytes) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const std::uint8_t b : bytes) {
+    h = (h ^ b) * 1099511628211ULL;
+  }
+  return h;
+}
+
+std::vector<std::uint8_t> ReadWholeFile(Env& env, std::string_view name) {
+  const Result<std::uint64_t> size = env.FileSize(name);
+  EXPECT_TRUE(size.ok());
+  std::vector<std::uint8_t> bytes(size.ok() ? size.value() : 0);
+  EXPECT_TRUE(env.Read(name, 0, bytes, 0).ok());
+  return bytes;
+}
+
+// Replaces the file's contents with `bytes`, through the Env.
+void RewriteFile(Env& env, std::string_view name, const std::vector<std::uint8_t>& bytes) {
+  ASSERT_TRUE(env.DeleteFile(name, 0).ok());
+  ASSERT_TRUE(env.CreateFile(name, Lifetime::kNone, 0).ok());
+  ASSERT_TRUE(env.Append(name, bytes, 0).ok());
+  ASSERT_TRUE(env.Sync(name, 0).ok());
+}
+
+std::uint64_t LoadLe(const std::vector<std::uint8_t>& bytes, std::size_t at, int width) {
+  std::uint64_t v = 0;
+  for (int i = 0; i < width; ++i) {
+    v |= static_cast<std::uint64_t>(bytes[at + i]) << (8 * i);
+  }
+  return v;
+}
+
+void StoreLe(std::vector<std::uint8_t>& bytes, std::size_t at, int width, std::uint64_t v) {
+  for (int i = 0; i < width; ++i) {
+    bytes[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+  }
+}
+
+// Writes `count` entries KeyOf(0..count-1) -> ValueOf(i) into table `name`.
+void BuildTable(Env& env, std::string_view name, std::uint64_t count) {
+  SSTableBuilder builder(&env, std::string(name), SSTableBuilderOptions{});
+  ASSERT_TRUE(builder.Start(0).ok());
+  for (std::uint64_t i = 0; i < count; ++i) {
+    ASSERT_TRUE(builder.Add(KeyOf(i), KvEntryType::kValue, ValueOf(i), 0).ok());
+  }
+  ASSERT_TRUE(builder.Finish(0).ok());
+}
+
+// Footer layout: index_off u64 | index_len u64 | bloom_off u64 | bloom_len u64 | ...
+constexpr std::size_t kFooterBytes = 48;
 
 // --- BloomFilter ---
 
@@ -89,6 +144,20 @@ TEST(BloomFilterTest, SerializeRoundTrip) {
 TEST(BloomFilterTest, EmptyFilterNeverExcludes) {
   BloomFilter f;
   EXPECT_TRUE(f.MayContain("anything"));
+}
+
+TEST(BloomFilterTest, HashListAndKeyListBuildTheSameFilter) {
+  std::vector<std::string> keys;
+  std::vector<BloomHash> hashes;
+  for (int i = 0; i < 777; ++i) {
+    keys.push_back(KeyOf(static_cast<std::uint64_t>(i) * 11));
+    hashes.push_back(BloomHash::Of(keys.back()));
+  }
+  for (const std::uint32_t bits_per_key : {1u, 4u, 10u, 23u}) {
+    EXPECT_EQ(BloomFilter::Build(hashes, bits_per_key).Serialize(),
+              BloomFilter::Build(keys, bits_per_key).Serialize())
+        << bits_per_key;
+  }
 }
 
 // --- BlockEnv ---
@@ -213,7 +282,7 @@ TEST(SSTableTest, TombstonesRoundTrip) {
   EXPECT_EQ(g1->type, KvEntryType::kTombstone);
   auto all = reader.value()->ReadAll(0);
   ASSERT_TRUE(all.ok());
-  EXPECT_EQ(all->size(), 2u);
+  EXPECT_EQ(all->entries.size(), 2u);
 }
 
 TEST(SSTableTest, ReadAllPreservesOrder) {
@@ -230,9 +299,9 @@ TEST(SSTableTest, ReadAllPreservesOrder) {
   ASSERT_TRUE(reader.ok());
   auto all = reader.value()->ReadAll(0);
   ASSERT_TRUE(all.ok());
-  ASSERT_EQ(all->size(), 300u);
-  for (std::size_t i = 1; i < all->size(); ++i) {
-    EXPECT_LT((*all)[i - 1].key, (*all)[i].key);
+  ASSERT_EQ(all->entries.size(), 300u);
+  for (std::size_t i = 1; i < all->entries.size(); ++i) {
+    EXPECT_LT(all->entries[i - 1].key, all->entries[i].key);
   }
 }
 
@@ -287,6 +356,86 @@ TEST(SSTableTest, ScanFromReadsOnlyNeededBlocks) {
   auto empty = reader.value()->ScanFrom("zzzz", 10, 0);
   ASSERT_TRUE(empty.ok());
   EXPECT_TRUE(empty->empty());
+}
+
+TEST(SSTableTest, OnFlashFormatIsPinned) {
+  // A fixed entry list (several blocks, tombstones, varied value sizes) must produce exactly
+  // these bytes; any change to how data blocks, index, bloom filter or footer are encoded
+  // changes them, and is a format change.
+  ConventionalSsd ssd(SmallFlash(), FtlConfig{});
+  BlockEnv env(&ssd);
+  SSTableBuilder builder(&env, "pin.sst", SSTableBuilderOptions{});
+  ASSERT_TRUE(builder.Start(0).ok());
+  for (std::uint64_t i = 0; i < 700; ++i) {
+    const bool tombstone = i % 7 == 3;
+    ASSERT_TRUE(builder
+                    .Add(KeyOf(3 * i), tombstone ? KvEntryType::kTombstone : KvEntryType::kValue,
+                         tombstone ? std::string() : ValueOf(i, 20 + i % 90), 0)
+                    .ok());
+  }
+  ASSERT_TRUE(builder.Finish(0).ok());
+  const std::vector<std::uint8_t> bytes = ReadWholeFile(env, "pin.sst");
+  EXPECT_EQ(bytes.size(), 51956u);
+  EXPECT_EQ(Fnv1a(bytes), 0x9762c3a9f392bb07ULL);
+}
+
+TEST(SSTableTest, TruncatedBlockTailIsCorruption) {
+  // Cut block 0 so it ends three bytes into its last entry's header. The framing check must
+  // report corruption for every read of that block, also for keys before the cut, while the
+  // other blocks stay readable.
+  ConventionalSsd ssd(SmallFlash(), FtlConfig{});
+  BlockEnv env(&ssd);
+  BuildTable(env, "t.sst", 200);
+  std::vector<std::uint8_t> bytes = ReadWholeFile(env, "t.sst");
+  const std::size_t index_off = LoadLe(bytes, bytes.size() - kFooterBytes, 8);
+  const std::size_t block0_size = LoadLe(bytes, index_off + 8, 4);
+  const std::size_t entry_bytes = 2 + KeyOf(0).size() + 1 + 4 + ValueOf(0).size();
+  ASSERT_EQ(block0_size % entry_bytes, 0u);
+  const std::size_t block0_entries = block0_size / entry_bytes;
+  ASSERT_GT(block0_entries, 2u);
+  ASSERT_LT(block0_entries, 100u);
+  StoreLe(bytes, index_off + 8, 4, block0_size - entry_bytes + 3);
+  RewriteFile(env, "t.sst", bytes);
+
+  auto reader = SSTableReader::Open(&env, "t.sst", 0);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  EXPECT_EQ(reader.value()->Get(KeyOf(1), 0).code(), ErrorCode::kCorruption)
+      << "a key before the corrupt tail";
+  EXPECT_EQ(reader.value()->Get(KeyOf(block0_entries - 1), 0).code(), ErrorCode::kCorruption);
+  EXPECT_EQ(reader.value()->ScanFrom(KeyOf(0), 3, 0).code(), ErrorCode::kCorruption);
+  EXPECT_EQ(reader.value()->ReadAll(0).code(), ErrorCode::kCorruption);
+  auto intact = reader.value()->Get(KeyOf(150), 0);
+  ASSERT_TRUE(intact.ok());
+  EXPECT_TRUE(intact->found);
+  EXPECT_EQ(intact->value, ValueOf(150));
+}
+
+TEST(SSTableTest, CorruptIndexIsRejectedAtOpen) {
+  ConventionalSsd ssd(SmallFlash(), FtlConfig{});
+  BlockEnv env(&ssd);
+  BuildTable(env, "t.sst", 200);
+  const std::vector<std::uint8_t> good = ReadWholeFile(env, "t.sst");
+  const std::size_t footer = good.size() - kFooterBytes;
+  const std::size_t index_off = LoadLe(good, footer, 8);
+  const std::size_t index_len = LoadLe(good, footer + 8, 8);
+  const std::size_t index_entry_bytes = 8 + 4 + 2 + KeyOf(0).size();
+  ASSERT_EQ(index_len % index_entry_bytes, 0u);
+
+  // An index that ends five bytes into its last entry's header: Open must refuse the table
+  // rather than silently drop the last block.
+  std::vector<std::uint8_t> bytes = good;
+  StoreLe(bytes, footer + 8, 8, index_len - index_entry_bytes + 5);
+  RewriteFile(env, "t.sst", bytes);
+  EXPECT_EQ(SSTableReader::Open(&env, "t.sst", 0).code(), ErrorCode::kCorruption);
+
+  // A block that would run past the data blocks into the index.
+  bytes = good;
+  StoreLe(bytes, index_off + 8, 4, index_off + 1);
+  RewriteFile(env, "t.sst", bytes);
+  EXPECT_EQ(SSTableReader::Open(&env, "t.sst", 0).code(), ErrorCode::kCorruption);
+
+  RewriteFile(env, "t.sst", good);
+  EXPECT_TRUE(SSTableReader::Open(&env, "t.sst", 0).ok());
 }
 
 // --- KvStore on both environments ---
@@ -553,6 +702,108 @@ TEST_P(KvStoreTest, ManifestRollingReclaimsSpaceAndRecovers) {
   ASSERT_TRUE(g.ok());
   EXPECT_TRUE(g->found);
   EXPECT_EQ(g->value, probe_value);
+}
+
+TEST_P(KvStoreTest, RandomOpStreamMatchesReferenceMap) {
+  // A seeded stream of puts, overwrites, deletes, gets, scans, flushes and reopens, checked
+  // op by op against a std::map. Tiny memtables and tables push the data through every level,
+  // and the stream must be seen to exercise each compaction merge case it is meant to cover.
+  KvConfig config;
+  config.memtable_bytes = 2 * kKiB;
+  config.target_table_bytes = 4 * kKiB;
+  config.level_base_bytes = 4 * kKiB;
+  config.level_multiplier = 2.0;
+  config.max_levels = 5;
+  auto open = [&]() {
+    store_.reset();
+    auto store = KvStore::Open(env_.get(), config, 0);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    store_ = std::move(store).value();
+  };
+  open();
+
+  std::map<std::string, std::string> reference;
+  std::uint64_t four_way_l0_merges_with_duplicates = 0;
+  std::vector<std::uint64_t> shadowed(config.max_levels, 0);
+  std::uint64_t tombstones_dropped = 0;
+  std::uint64_t reopens = 0;
+  std::uint64_t nonempty_scans = 0;
+  Rng rng(2024);
+  SimTime t = 0;
+  constexpr std::uint64_t kKeySpace = 700;
+  for (std::uint64_t op = 0; op < 12000; ++op) {
+    const std::string key = KeyOf(rng.NextBelow(kKeySpace));
+    const std::uint64_t dice = rng.NextBelow(1000);
+    const std::uint32_t l0_before = store_->LevelTableCounts()[0];
+    const KvStats before = store_->stats();
+    if (dice < 450) {
+      const std::string value = ValueOf(op, 8 + rng.NextBelow(40));
+      auto p = store_->Put(key, value, t);
+      ASSERT_TRUE(p.ok()) << p.status().ToString() << " at op " << op;
+      t = p.value();
+      reference[key] = value;
+    } else if (dice < 580) {
+      auto d = store_->Delete(key, t);
+      ASSERT_TRUE(d.ok()) << d.status().ToString() << " at op " << op;
+      t = d.value();
+      reference.erase(key);
+    } else if (dice < 880) {
+      auto g = store_->Get(key, t);
+      ASSERT_TRUE(g.ok()) << g.status().ToString() << " at op " << op;
+      auto want = reference.find(key);
+      ASSERT_EQ(g->found, want != reference.end()) << key << " at op " << op;
+      if (g->found) {
+        ASSERT_EQ(g->value, want->second) << key << " at op " << op;
+      }
+    } else if (dice < 980) {
+      const std::size_t limit = 1 + rng.NextBelow(12);
+      auto sc = store_->Scan(key, limit, t);
+      ASSERT_TRUE(sc.ok()) << sc.status().ToString() << " at op " << op;
+      std::vector<std::pair<std::string, std::string>> want;
+      for (auto it = reference.lower_bound(key); it != reference.end() && want.size() < limit;
+           ++it) {
+        want.emplace_back(it->first, it->second);
+      }
+      ASSERT_EQ(sc->entries, want) << "scan from " << key << " at op " << op;
+      nonempty_scans += want.empty() ? 0 : 1;
+    } else if (dice < 995) {
+      auto f = store_->Flush(t);
+      ASSERT_TRUE(f.ok()) << f.status().ToString() << " at op " << op;
+      t = std::max(t, f.value());
+    } else {
+      open();
+      ++reopens;
+      continue;  // A fresh store starts its stats from zero.
+    }
+    const KvStats& after = store_->stats();
+    for (std::uint32_t level = 0; level < config.max_levels; ++level) {
+      shadowed[level] += after.shadowed_by_level[level] - before.shadowed_by_level[level];
+    }
+    tombstones_dropped += after.tombstones_dropped - before.tombstones_dropped;
+    // L0 is compacted when a flush brings it to four tables: this op merged all of them.
+    if (l0_before >= 3 && after.flushes > before.flushes && store_->LevelTableCounts()[0] == 0 &&
+        after.shadowed_by_level[1] > before.shadowed_by_level[1]) {
+      ++four_way_l0_merges_with_duplicates;
+    }
+  }
+  open();
+  for (std::uint64_t k = 0; k < kKeySpace; ++k) {
+    auto g = store_->Get(KeyOf(k), t);
+    ASSERT_TRUE(g.ok());
+    auto want = reference.find(KeyOf(k));
+    ASSERT_EQ(g->found, want != reference.end()) << KeyOf(k);
+    if (g->found) {
+      ASSERT_EQ(g->value, want->second) << KeyOf(k);
+    }
+  }
+
+  EXPECT_GT(four_way_l0_merges_with_duplicates, 0u);
+  for (std::uint32_t level = 1; level < config.max_levels; ++level) {
+    EXPECT_GT(shadowed[level], 0u) << "no overwrite was merged into L" << level;
+  }
+  EXPECT_GT(tombstones_dropped, 0u) << "no tombstone reached the bottom level";
+  EXPECT_GT(reopens, 0u);
+  EXPECT_GT(nonempty_scans, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, KvStoreTest, ::testing::Values(Backend::kBlock, Backend::kZns),
