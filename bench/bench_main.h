@@ -250,7 +250,7 @@ inline int FinishBench(const BenchOptions& opts, const char* bench_name,
 // simulation state), a --perf sample is recorded, and everything file-shaped happens on the
 // last repeat only, with median gauges published first.
 inline int FinishBench(const BenchOptions& opts, const char* bench_name, Telemetry& telemetry) {
-  telemetry.tracer.AbandonOpen();
+  telemetry.reqpath.AbandonOpenSpans();
   BenchRepeatState* rs = opts.repeat_state;
   const bool last = rs == nullptr || rs->index + 1 >= rs->total;
   if (rs != nullptr && rs->total > 1) {

@@ -156,6 +156,13 @@ tracks = {(e["pid"], e["tid"]) for e in events
 assert len(tracks) >= 3, f"expected >=3 tracks, got {len(tracks)}"
 slices = [e for e in events if e["ph"] == "X"]
 assert slices, "no duration slices in trace"
+# Maintenance slices alone would satisfy the check above: the host-ops process must carry the
+# FTL's span slices too, or spans lost their timeline half.
+track_names = {(e["pid"], e["tid"]): e["args"]["name"] for e in events
+               if e["ph"] == "M" and e["name"] == "thread_name"}
+span_slices = [s for s in slices if s["pid"] == 0 and
+               track_names.get((0, s["tid"])) in ("conv.ftl.read", "conv.ftl.write")]
+assert span_slices, "no conv.ftl.read/write span slices on the host-ops process (pid 0)"
 for s in slices[:100]:
     float(s["ts"]), float(s["dur"])  # Parseable microsecond stamps.
 counters = [e for e in events if e["ph"] == "C"]
@@ -176,7 +183,8 @@ with open(sys.argv[2]) as f:
         last[series] = t
         rows += 1
     assert rows > 0, "empty time-series"
-print(f"smoke: trace ok ({len(slices)} slices, {len(counters)} samples, "
+print(f"smoke: trace ok ({len(slices)} slices, {len(span_slices)} FTL span slices, "
+      f"{len(counters)} samples, "
       f"{len(tracks)} tracks); time-series ok ({rows} rows)")
 PY
 

@@ -16,6 +16,9 @@ FlashDevice::FlashDevice(const FlashConfig& config) : config_(config), rng_(conf
   plane_busy_series_.assign(config_.geometry.total_planes(), BusySeries{});
   channel_busy_series_.assign(config_.geometry.channels, BusySeries{});
   sharding_.Init(config_.geometry.channels, config_.geometry.total_planes());
+  if (config_.store_data) {
+    copy_buffer_.resize(config_.geometry.page_size);
+  }
 }
 
 FlashDevice::~FlashDevice() { AttachTelemetry(nullptr); }
@@ -163,27 +166,20 @@ Result<SimTime> FlashDevice::ReadPage(const PhysAddr& addr, SimTime issue,
     stats_.host_pages_read++;
     stats_.host_bus_bytes += g.page_size;
     if (telemetry_ != nullptr) {
-      const SimTime gc_wait = MaintenanceOverlap(plane_index, issue, read_start);
-      SpanComponents c;
-      c.gc_ns = gc_wait;
-      c.queue_ns = (read_start - issue) - gc_wait + (xfer_start - read_done);
-      c.flash_ns = config_.timing.page_read + config_.timing.channel_xfer;
-      c.flash_ops = 1;
-      telemetry_->tracer.Charge(c);
+      // Wall-to-wall decomposition of [issue, done): GC stall behind maintenance, plane wait,
+      // cell read, channel wait, transfer out.
+      const MaintMark& mark = plane_maintenance_busy_[plane_index];
+      FlashOpCharge c{.issue = issue,
+                      .gc_cause = mark.cause,
+                      .gc_layer = mark.layer,
+                      .gc_track = plane_tracks_[plane_index]};
+      c.Then(issue + MaintenanceOverlap(plane_index, issue, read_start), PathSegment::kGcStall);
+      c.Then(read_start, PathSegment::kDeviceQueue);
+      c.Then(read_done, PathSegment::kFlashBusy);
+      c.Then(xfer_start, PathSegment::kDeviceQueue);
+      c.Then(done, PathSegment::kFlashBusy);
+      reqpath_->ChargeFlashOp(c);
       read_latency_->Record(done - issue);
-      if (reqpath_->InRequest()) {
-        // Wall-to-wall decomposition of [issue, done): GC stall behind maintenance, plane
-        // wait, cell read, channel wait, transfer out. Sums to done - issue exactly.
-        const MaintMark& mark = plane_maintenance_busy_[plane_index];
-        if (gc_wait > 0) {
-          reqpath_->ChargeInterference(issue, issue + gc_wait, mark.cause, mark.layer,
-                                       plane_tracks_[plane_index]);
-        }
-        reqpath_->ChargeInterval(issue + gc_wait, read_start, PathSegment::kDeviceQueue);
-        reqpath_->ChargeInterval(read_start, read_done, PathSegment::kFlashBusy);
-        reqpath_->ChargeInterval(read_done, xfer_start, PathSegment::kDeviceQueue);
-        reqpath_->ChargeInterval(xfer_start, done, PathSegment::kFlashBusy);
-      }
       if (telemetry_->timeline.enabled()) {
         plane_busy_series_[plane_index].Book(read_start, read_done);
         channel_busy_series_[addr.channel.value()].Book(xfer_start, done);
@@ -259,29 +255,21 @@ Result<SimTime> FlashDevice::ProgramPage(const PhysAddr& addr, SimTime issue,
   plane = done;
   if (op_class == OpClass::kHost) {
     if (telemetry_ != nullptr) {
-      const SimTime gc_wait = MaintenanceOverlap(plane_index, program_can_start, program_start);
-      SpanComponents c;
-      c.gc_ns = gc_wait;
-      c.queue_ns = bus_wait + (program_start - program_can_start) - gc_wait;
-      c.flash_ns = config_.timing.channel_xfer + config_.timing.page_program;
-      c.flash_ops = 1;
-      telemetry_->tracer.Charge(c);
+      // Wall-to-wall decomposition of [issue, done): bus wait, transfer in, GC stall behind
+      // maintenance, plane wait, cell program.
+      const MaintMark& mark = plane_maintenance_busy_[plane_index];
+      FlashOpCharge c{.issue = issue,
+                      .gc_cause = mark.cause,
+                      .gc_layer = mark.layer,
+                      .gc_track = plane_tracks_[plane_index]};
+      c.Then(issue + bus_wait, PathSegment::kDeviceQueue);
+      c.Then(program_can_start, PathSegment::kFlashBusy);
+      c.Then(program_can_start + MaintenanceOverlap(plane_index, program_can_start, program_start),
+             PathSegment::kGcStall);
+      c.Then(program_start, PathSegment::kDeviceQueue);
+      c.Then(done, PathSegment::kFlashBusy);
+      reqpath_->ChargeFlashOp(c);
       program_latency_->Record(done - issue);
-      if (reqpath_->InRequest()) {
-        // Wall-to-wall decomposition of [issue, done): bus wait, transfer in, GC stall
-        // behind maintenance, plane wait, cell program. Sums to done - issue exactly.
-        const MaintMark& mark = plane_maintenance_busy_[plane_index];
-        const SimTime xfer_start = issue + bus_wait;
-        reqpath_->ChargeInterval(issue, xfer_start, PathSegment::kDeviceQueue);
-        reqpath_->ChargeInterval(xfer_start, program_can_start, PathSegment::kFlashBusy);
-        if (gc_wait > 0) {
-          reqpath_->ChargeInterference(program_can_start, program_can_start + gc_wait,
-                                       mark.cause, mark.layer, plane_tracks_[plane_index]);
-        }
-        reqpath_->ChargeInterval(program_can_start + gc_wait, program_start,
-                                 PathSegment::kDeviceQueue);
-        reqpath_->ChargeInterval(program_start, done, PathSegment::kFlashBusy);
-      }
       if (telemetry_->timeline.enabled()) {
         channel_busy_series_[addr.channel.value()].Book(program_can_start -
                                                     config_.timing.channel_xfer,
@@ -397,19 +385,13 @@ Result<SimTime> FlashDevice::EraseBlock(ChannelId channel, PlaneId plane, BlockI
 }
 
 Result<SimTime> FlashDevice::CopyPage(const PhysAddr& src, const PhysAddr& dst, SimTime issue) {
-  // Internal read...
-  std::vector<std::uint8_t> buf;
-  std::span<std::uint8_t> out;
-  if (config_.store_data) {
-    buf.resize(config_.geometry.page_size);
-    out = std::span<std::uint8_t>(buf);
-  }
-  Result<SimTime> read_done = ReadPage(src, issue, out, OpClass::kInternal);
+  // Internal read into the device's copy buffer...
+  Result<SimTime> read_done = ReadPage(src, issue, copy_buffer_, OpClass::kInternal);
   if (!read_done.ok()) {
     return read_done;
   }
   // ...then internal program once the data is available.
-  return ProgramPage(dst, read_done.value(), buf, OpClass::kInternal);
+  return ProgramPage(dst, read_done.value(), copy_buffer_, OpClass::kInternal);
 }
 
 SimTime FlashDevice::PlaneBusyUntil(ChannelId channel, PlaneId plane) const {

@@ -90,8 +90,9 @@ class FlashDevice {
   // Registers this device with `telemetry` under `<prefix>.*`: a pull-provider exporting
   // FlashStats, the WearSummary, and a write_amplification gauge, plus live host-op latency
   // histograms (`<prefix>.read.latency_ns`, `<prefix>.program.latency_ns`). While attached,
-  // host operations also charge queue/GC-interference/service components to any open tracing
-  // span (see src/telemetry/trace.h). Passing nullptr detaches.
+  // every host operation hands its queue / GC-stall / flash-busy decomposition to the
+  // request-path ledger once, which feeds both the open spans and the active request (see
+  // src/telemetry/reqpath/request_path.h). Passing nullptr detaches.
   //
   // Timeline wiring (active only once telemetry->timeline.Enable() is called): internal copy
   // reads/programs and block erases become maintenance slices on per-plane tracks
@@ -177,6 +178,9 @@ class FlashDevice {
   std::vector<BusySeries> channel_busy_series_ BLOCKHEAD_SHARD_LOCAL(channel);
   FlashStats stats_ BLOCKHEAD_SHARD_SHARED;
   ShardingStats sharding_ BLOCKHEAD_SHARD_SHARED;
+  // One page CopyPage reads into and programs from, so GC copies do not allocate. Empty when
+  // store_data is off.
+  std::vector<std::uint8_t> copy_buffer_ BLOCKHEAD_SHARD_SHARED;
   Rng rng_ BLOCKHEAD_SHARD_SHARED;
 
   Telemetry* telemetry_ BLOCKHEAD_SIM_GLOBAL = nullptr;
@@ -185,8 +189,8 @@ class FlashDevice {
   // CauseScope. The ledger pointer is cached at attach so the hot path does no map lookup.
   WriteProvenance* provenance_ BLOCKHEAD_SIM_GLOBAL = nullptr;
   WriteProvenance::DeviceLedger* ledger_ BLOCKHEAD_SIM_GLOBAL = nullptr;
-  // Request-path charging: host ops attribute their queue/GC/media intervals to the active
-  // request's exclusive segments. Cached at attach like the provenance ledger.
+  // Request-path charging: host ops hand their queue/GC/media intervals to open spans and the
+  // active request's exclusive segments. Cached at attach like the provenance ledger.
   RequestPathLedger* reqpath_ BLOCKHEAD_SIM_GLOBAL = nullptr;
   // State-digest audit of block states ("<prefix>.blocks"): one entry per erasure block
   // hashing (flat index, write pointer, erase count, bad flag). Registered at attach; every

@@ -71,6 +71,7 @@ ConventionalSsd::ConventionalSsd(const FlashConfig& flash_config, const FtlConfi
     planes_[pl].host_frontiers.assign(config_.num_streams, kNoBlock);
   }
   next_host_plane_.assign(config_.num_streams, 0);
+  inflight_program_completions_.assign(std::size_t{config_.write_buffer_pages} + 1, 0);
   free_block_count_ = g.total_blocks();
 
   if (const char* env = std::getenv("BLOCKHEAD_AUDIT_PERTURB_GC_AT");
@@ -464,12 +465,17 @@ std::uint32_t ConventionalSsd::RunBackgroundGc(SimTime now, std::uint32_t max_cy
 }
 
 SimTime ConventionalSsd::BufferAck(SimTime data_in, SimTime program_done) {
-  inflight_program_completions_.push_back(program_done);
-  if (inflight_program_completions_.size() <= config_.write_buffer_pages) {
+  const std::size_t slots = inflight_program_completions_.size();
+  const std::size_t tail = inflight_head_ + inflight_count_;
+  inflight_program_completions_[tail < slots ? tail : tail - slots] = program_done;
+  if (++inflight_count_ <= config_.write_buffer_pages) {
     return data_in;  // Buffer slot immediately available.
   }
-  const SimTime slot_free = inflight_program_completions_.front();
-  inflight_program_completions_.pop_front();
+  const SimTime slot_free = inflight_program_completions_[inflight_head_];
+  if (++inflight_head_ == slots) {
+    inflight_head_ = 0;
+  }
+  inflight_count_--;
   return std::max(data_in, slot_free);
 }
 
@@ -497,8 +503,8 @@ void ConventionalSsd::AttachTelemetry(Telemetry* telemetry, std::string_view pre
     return;
   }
   metric_prefix_ = std::string(prefix);
-  read_span_ = telemetry_->tracer.Intern(metric_prefix_ + ".ftl.read");
-  write_span_ = telemetry_->tracer.Intern(metric_prefix_ + ".ftl.write");
+  read_span_ = telemetry_->reqpath.InternSpan(metric_prefix_ + ".ftl.read");
+  write_span_ = telemetry_->reqpath.InternSpan(metric_prefix_ + ".ftl.write");
   audit_l2p_ = telemetry_->audit.Register(metric_prefix_ + ".ftl.l2p");
   flash_.AttachTelemetry(telemetry_, metric_prefix_ + ".flash");
   telemetry_->registry.AddProvider(metric_prefix_ + ".ftl", [this] { PublishMetrics(); });
@@ -546,18 +552,12 @@ Result<SimTime> ConventionalSsd::WriteBlocksStream(Lba lba, std::uint32_t count,
     return ErrorCode::kInvalidArgument;
   }
 
-  Tracer::Span span;
-  if (telemetry_ != nullptr) {
-    span = telemetry_->tracer.Start(write_span_, issue);
-  }
-  // Foreground host op: own the request-path measurement unless internal work (a CauseScope)
-  // or an outer layer already does. Foreground GC needs no explicit charge here — it runs as
-  // internal flash ops whose maintenance marks the host programs below bill as GC stall.
+  // The write's span, and the request-path measurement unless internal work (a CauseScope)
+  // or an outer layer already owns it. Foreground GC needs no explicit charge here — it runs
+  // as internal flash ops whose maintenance marks the host programs below bill as GC stall.
   RequestPathLedger::RequestScope req_scope(
-      telemetry_ != nullptr && telemetry_->provenance.open_scopes() == 0
-          ? &telemetry_->reqpath
-          : nullptr,
-      RequestContext{stream, ReqOp::kWrite}, issue);
+      ReqPathOf(telemetry_), write_span_, RequestContext{stream, ReqOp::kWrite}, issue,
+      /*own_request=*/telemetry_ != nullptr && telemetry_->provenance.open_scopes() == 0);
   SimTime ack = issue;
   for (std::uint32_t i = 0; i < count; ++i) {
     MaybeForegroundGc(issue);
@@ -577,7 +577,6 @@ Result<SimTime> ConventionalSsd::WriteBlocksStream(Lba lba, std::uint32_t count,
   if (telemetry_ != nullptr) {
     telemetry_->timeline.AdvanceGroup(sampler_group_, ack);
   }
-  span.End(ack);
   req_scope.Complete(ack);
   return ack;
 }
@@ -593,15 +592,9 @@ Result<SimTime> ConventionalSsd::ReadBlocks(Lba lba, std::uint32_t count, SimTim
     return ErrorCode::kInvalidArgument;
   }
 
-  Tracer::Span span;
-  if (telemetry_ != nullptr) {
-    span = telemetry_->tracer.Start(read_span_, issue);
-  }
   RequestPathLedger::RequestScope req_scope(
-      telemetry_ != nullptr && telemetry_->provenance.open_scopes() == 0
-          ? &telemetry_->reqpath
-          : nullptr,
-      RequestContext{0, ReqOp::kRead}, issue);
+      ReqPathOf(telemetry_), read_span_, RequestContext{0, ReqOp::kRead}, issue,
+      /*own_request=*/telemetry_ != nullptr && telemetry_->provenance.open_scopes() == 0);
   SimTime done_all = issue;
   for (std::uint32_t i = 0; i < count; ++i) {
     std::span<std::uint8_t> page_out;
@@ -628,7 +621,6 @@ Result<SimTime> ConventionalSsd::ReadBlocks(Lba lba, std::uint32_t count, SimTim
   if (telemetry_ != nullptr) {
     telemetry_->timeline.AdvanceGroup(sampler_group_, done_all);
   }
-  span.End(done_all);
   req_scope.Complete(done_all);
   return done_all;
 }

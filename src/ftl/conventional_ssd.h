@@ -16,7 +16,6 @@
 #define BLOCKHEAD_SRC_FTL_CONVENTIONAL_SSD_H_
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <span>
 #include <string>
@@ -201,16 +200,19 @@ class ConventionalSsd final : public BlockDevice {
   std::uint64_t victim_scan_cursor_
       BLOCKHEAD_SHARD_SHARED = 0;  // Rotating start for victim scans (tie fairness).
   std::uint64_t gc_cycles_since_wear_check_ BLOCKHEAD_SHARD_SHARED = 0;
-  std::deque<SimTime> inflight_program_completions_
-      BLOCKHEAD_SHARD_SHARED;  // Write-buffer occupancy model.
+  // Write-buffer occupancy model: a FIFO ring of write_buffer_pages + 1 program completions,
+  // oldest at inflight_head_.
+  std::vector<SimTime> inflight_program_completions_ BLOCKHEAD_SHARD_SHARED;
+  std::size_t inflight_head_ BLOCKHEAD_SHARD_SHARED = 0;
+  std::size_t inflight_count_ BLOCKHEAD_SHARD_SHARED = 0;
 
   FtlStats stats_ BLOCKHEAD_SHARD_SHARED;
   Telemetry* telemetry_ BLOCKHEAD_SIM_GLOBAL = nullptr;
   std::string metric_prefix_ BLOCKHEAD_SIM_GLOBAL;
   int sampler_group_ BLOCKHEAD_SIM_GLOBAL = -1;  // Timeline group for free-pool / WA gauges.
   // Span names interned at attach time, so host I/O opens spans without building strings.
-  Tracer::SpanName* read_span_ BLOCKHEAD_SIM_GLOBAL = nullptr;
-  Tracer::SpanName* write_span_ BLOCKHEAD_SIM_GLOBAL = nullptr;
+  RequestPathLedger::SpanName* read_span_ BLOCKHEAD_SIM_GLOBAL = nullptr;
+  RequestPathLedger::SpanName* write_span_ BLOCKHEAD_SIM_GLOBAL = nullptr;
 
   // State-digest audit of the mapping table ("<prefix>.ftl.l2p"): one entry per mapped
   // logical page hashing (lpn, ppn). p2l_ is derived state and is not digested separately.

@@ -295,17 +295,11 @@ Result<SimTime> HostFtlBlockDevice::WriteBlocks(Lba lba, std::uint32_t count, Si
   if (!data.empty() && data.size() != static_cast<std::size_t>(count) * page_size) {
     return ErrorCode::kInvalidArgument;
   }
-  Tracer::Span span;
-  if (telemetry_ != nullptr) {
-    span = telemetry_->tracer.Start(write_span_, issue);
-  }
-  // Foreground host op: own the request-path measurement unless internal work (a CauseScope)
-  // or an outer layer already does.
+  // The write's span, and the request-path measurement unless internal work (a CauseScope)
+  // or an outer layer already owns it.
   RequestPathLedger::RequestScope req_scope(
-      telemetry_ != nullptr && telemetry_->provenance.open_scopes() == 0
-          ? &telemetry_->reqpath
-          : nullptr,
-      RequestContext{0, ReqOp::kWrite}, issue);
+      ReqPathOf(telemetry_), write_span_, RequestContext{0, ReqOp::kWrite}, issue,
+      /*own_request=*/telemetry_ != nullptr && telemetry_->provenance.open_scopes() == 0);
   SimTime ack = issue;
   for (std::uint32_t i = 0; i < count; ++i) {
     // Mandatory reclamation when space is critical; the triggering write absorbs the delay,
@@ -344,7 +338,6 @@ Result<SimTime> HostFtlBlockDevice::WriteBlocks(Lba lba, std::uint32_t count, Si
   if (telemetry_ != nullptr) {
     telemetry_->timeline.AdvanceGroup(sampler_group_, ack);
   }
-  span.End(ack);
   req_scope.Complete(ack);
   return ack;
 }
@@ -359,15 +352,9 @@ Result<SimTime> HostFtlBlockDevice::ReadBlocks(Lba lba, std::uint32_t count, Sim
   if (!out.empty() && out.size() != static_cast<std::size_t>(count) * page_size) {
     return ErrorCode::kInvalidArgument;
   }
-  Tracer::Span span;
-  if (telemetry_ != nullptr) {
-    span = telemetry_->tracer.Start(read_span_, issue);
-  }
   RequestPathLedger::RequestScope req_scope(
-      telemetry_ != nullptr && telemetry_->provenance.open_scopes() == 0
-          ? &telemetry_->reqpath
-          : nullptr,
-      RequestContext{0, ReqOp::kRead}, issue);
+      ReqPathOf(telemetry_), read_span_, RequestContext{0, ReqOp::kRead}, issue,
+      /*own_request=*/telemetry_ != nullptr && telemetry_->provenance.open_scopes() == 0);
   SimTime done_all = issue;
   for (std::uint32_t i = 0; i < count; ++i) {
     std::span<std::uint8_t> page_out;
@@ -392,7 +379,6 @@ Result<SimTime> HostFtlBlockDevice::ReadBlocks(Lba lba, std::uint32_t count, Sim
   if (telemetry_ != nullptr) {
     telemetry_->timeline.AdvanceGroup(sampler_group_, done_all);
   }
-  span.End(done_all);
   req_scope.Complete(done_all);
   return done_all;
 }
@@ -436,8 +422,8 @@ void HostFtlBlockDevice::AttachTelemetry(Telemetry* telemetry, std::string_view 
     write_span_ = nullptr;
     return;
   }
-  read_span_ = telemetry_->tracer.Intern(metric_prefix_ + ".read");
-  write_span_ = telemetry_->tracer.Intern(metric_prefix_ + ".write");
+  read_span_ = telemetry_->reqpath.InternSpan(metric_prefix_ + ".read");
+  write_span_ = telemetry_->reqpath.InternSpan(metric_prefix_ + ".write");
   telemetry_->registry.AddProvider(metric_prefix_, [this] { PublishMetrics(); });
   audit_l2p_ = telemetry_->audit.Register(metric_prefix_ + ".l2p");
   provenance_ingress_ = telemetry_->provenance.RegisterDomain(metric_prefix_);

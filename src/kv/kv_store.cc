@@ -395,9 +395,9 @@ Result<SimTime> KvStore::ApplyWrite(std::string_view key, KvEntryType type,
 Result<SimTime> KvStore::Put(std::string_view key, std::string_view value, SimTime now) {
   SelfProfiler::Scope prof_scope(ProfilerOf(telemetry_), ProfSubsystem::kKv, ProfOp::kWrite);
   stats_.puts++;
-  Tracer::Span span;
+  RequestPathLedger::Span span;
   if (telemetry_ != nullptr) {
-    span = telemetry_->tracer.Start(put_span_, now);
+    span = telemetry_->reqpath.StartSpan(put_span_, now);
   }
   Result<SimTime> done = ApplyWrite(key, KvEntryType::kValue, value, now);
   if (done.ok()) {
@@ -757,9 +757,9 @@ Result<SimTime> KvStore::CompactLevel(std::uint32_t level, SimTime now) {
 Result<KvStore::GetResult> KvStore::Get(std::string_view key, SimTime now) {
   SelfProfiler::Scope prof_scope(ProfilerOf(telemetry_), ProfSubsystem::kKv, ProfOp::kRead);
   stats_.gets++;
-  Tracer::Span span;
+  RequestPathLedger::Span span;
   if (telemetry_ != nullptr) {
-    span = telemetry_->tracer.Start(get_span_, now);
+    span = telemetry_->reqpath.StartSpan(get_span_, now);
   }
   GetResult result;
   result.completion = now;
@@ -951,8 +951,8 @@ void KvStore::AttachTelemetry(Telemetry* telemetry, std::string_view prefix) {
     get_span_ = nullptr;
     return;
   }
-  put_span_ = telemetry_->tracer.Intern(metric_prefix_ + ".put");
-  get_span_ = telemetry_->tracer.Intern(metric_prefix_ + ".get");
+  put_span_ = telemetry_->reqpath.InternSpan(metric_prefix_ + ".put");
+  get_span_ = telemetry_->reqpath.InternSpan(metric_prefix_ + ".get");
   telemetry_->registry.AddProvider(metric_prefix_, [this] { PublishMetrics(); });
   provenance_ingress_ = telemetry_->provenance.RegisterDomain(metric_prefix_);
   audit_memtable_ = telemetry_->audit.Register(metric_prefix_ + ".memtable");

@@ -1,6 +1,7 @@
 #include "src/telemetry/reqpath/request_path.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cstdio>
 
 #include "src/telemetry/sink.h"  // FormatMetricDouble + JsonEscape: shared renderers.
@@ -172,6 +173,38 @@ void RequestPathLedger::ChargeSlow(SimTime start, SimTime end, PathSegment segme
   }
 }
 
+void RequestPathLedger::ChargeFlashOp(const FlashOpCharge& op) {
+  if (!open_spans_.empty()) {
+    SimTime by_segment[kPathSegmentCount] = {};
+    SimTime start = op.issue;
+    for (int i = 0; i < op.count; ++i) {
+      by_segment[static_cast<int>(op.pieces[i].segment)] += op.pieces[i].end - start;
+      start = op.pieces[i].end;
+    }
+    for (OpenSpan& s : open_spans_) {
+      s.queue_ns += by_segment[static_cast<int>(PathSegment::kDeviceQueue)];
+      s.gc_ns += by_segment[static_cast<int>(PathSegment::kGcStall)];
+      s.flash_ns += by_segment[static_cast<int>(PathSegment::kFlashBusy)];
+    }
+  }
+  RequestPathLedger* l = Resolve();
+  if (!l->active_) {
+    return;
+  }
+  SimTime start = op.issue;
+  for (int i = 0; i < op.count; ++i) {
+    const FlashOpCharge::Piece& piece = op.pieces[i];
+    if (piece.segment == PathSegment::kGcStall) {
+      l->ChargeSlow(start, piece.end, SegmentForCause(op.gc_cause), /*is_interference=*/true,
+                    op.gc_cause, op.gc_layer, op.gc_track);
+    } else {
+      l->ChargeSlow(start, piece.end, piece.segment, /*is_interference=*/false,
+                    WriteCause::kHostWrite, StackLayer::kHost, {});
+    }
+    start = piece.end;
+  }
+}
+
 void RequestPathLedger::CompleteRequest(SimTime completion) {
   active_ = false;
   if (completion < issue_) {
@@ -258,6 +291,73 @@ void RequestPathLedger::CompleteRequest(SimTime completion) {
 void RequestPathLedger::AbandonRequest() {
   active_ = false;
   abandoned_++;
+}
+
+RequestPathLedger::SpanName* RequestPathLedger::InternSpan(std::string_view name) {
+  auto it = span_names_.find(name);
+  if (it == span_names_.end()) {
+    it = span_names_.emplace(std::string(name), SpanName{}).first;
+    it->second.name = it->first;
+  }
+  return &it->second;
+}
+
+RequestPathLedger::Span RequestPathLedger::StartSpan(SpanName* name, SimTime begin) {
+  assert(span_registry_ != nullptr);
+  const std::uint64_t id = next_span_id_++;
+  open_spans_.push_back(OpenSpan{id, name, begin});
+  return Span(this, id);
+}
+
+void RequestPathLedger::FinishSpan(std::uint64_t id, SimTime end) {
+  for (std::size_t i = 0; i < open_spans_.size(); ++i) {
+    if (open_spans_[i].id != id) {
+      continue;
+    }
+    const OpenSpan s = open_spans_[i];
+    open_spans_.erase(open_spans_.begin() + static_cast<std::ptrdiff_t>(i));
+    const SimTime total = end > s.begin ? end - s.begin : 0;
+    const SimTime attributed = s.queue_ns + s.gc_ns + s.flash_ns;
+    const SimTime host = total > attributed ? total - attributed : 0;
+    SpanName& n = *s.name;
+    if (n.total_ns == nullptr) {
+      const std::string prefix = "span." + n.name;
+      n.total_ns = span_registry_->GetHistogram(prefix + ".total_ns");
+      n.queue_ns = span_registry_->GetHistogram(prefix + ".queue_ns");
+      n.gc_ns = span_registry_->GetHistogram(prefix + ".gc_ns");
+      n.flash_ns = span_registry_->GetHistogram(prefix + ".flash_ns");
+      n.host_ns = span_registry_->GetHistogram(prefix + ".host_ns");
+    }
+    n.total_ns->Record(total);
+    n.queue_ns->Record(s.queue_ns);
+    n.gc_ns->Record(s.gc_ns);
+    n.flash_ns->Record(s.flash_ns);
+    n.host_ns->Record(host);
+    if (span_timeline_ != nullptr) {
+      span_timeline_->RecordSpan(n.name, s.begin, end);
+    }
+    return;
+  }
+}
+
+void RequestPathLedger::AbandonOpenSpans() {
+  while (!open_spans_.empty()) {
+    AbandonSpan(open_spans_.back().id);
+  }
+}
+
+void RequestPathLedger::AbandonSpan(std::uint64_t id) {
+  for (std::size_t i = 0; i < open_spans_.size(); ++i) {
+    if (open_spans_[i].id == id) {
+      SpanName& n = *open_spans_[i].name;
+      if (n.abandoned == nullptr) {
+        n.abandoned = span_registry_->GetCounter("span." + n.name + ".abandoned");
+      }
+      n.abandoned->Add(1);
+      open_spans_.erase(open_spans_.begin() + static_cast<std::ptrdiff_t>(i));
+      return;
+    }
+  }
 }
 
 void RequestPathLedger::OfferExemplar(const Exemplar& candidate) {

@@ -4,7 +4,7 @@
 // The ZNS characterization papers show that tail latency on zoned (and conventional) devices
 // is dominated by *interference* — GC copies, zone compaction, migrations, other tenants —
 // not media latency. The stack's merged histograms can measure a p99.9 but cannot explain it.
-// This module closes that gap with three pieces:
+// This module closes that gap with four pieces:
 //
 //   * A critical-path ledger. Each host operation carries a RequestContext (tenant id +
 //     operation class) threaded from the fleet router down to flash ops. While the request is
@@ -30,10 +30,30 @@
 //     (--slo). Burn rate = observed violation fraction / error budget (1 - quantile); an
 //     objective is breached when both windows burn faster than budget.
 //
-// Cost model: disabled by default; every hot-path entry point is a single branch until
-// Enable() (the selfprof pattern). When disabled, PublishTo emits nothing, so snapshots are
-// byte-identical with the feature off vs. absent. Everything is SimTime-domain and
-// deterministic — exemplar dumps and SLO reports are byte-identical across same-seed runs.
+//   * Named spans. A span brackets one host-visible operation at one layer (a KV Get, a
+//     zonefile Append, an FTL write). While a span is open, every host flash op charges it
+//     its queue / GC-stall / flash-busy durations, unclipped, so nested spans all see the
+//     flash work done on their behalf below them. On End the span records
+//     span.<name>.{total,queue,gc,flash,host}_ns (host = total minus the other three, floored
+//     at 0) and, when the timeline is on, a slice on the host-ops track; a span destroyed
+//     without End bumps span.<name>.abandoned. Spans are always on while telemetry is
+//     attached (Enable is not needed) and stay on this bundle: DelegateTo does not forward
+//     them. Names are interned at attach time and their histograms resolved on the first
+//     End, so opening and ending a span builds no strings and does no registry lookups.
+//
+// Cost model: requests are disabled by default; every request entry point is a single
+// branch until Enable() (the selfprof pattern). When disabled, PublishTo emits nothing, so
+// snapshots are byte-identical with the feature off vs. absent. Spans are always on.
+// Everything is SimTime-domain and deterministic — exemplar dumps and SLO reports are
+// byte-identical across same-seed runs.
+//
+// One decomposition feeds both consumers: the flash device splits each host op's
+// [issue, done) into consecutive queue / GC / flash intervals (FlashOpCharge) and hands it to
+// ChargeFlashOp once. Open spans add the durations; the active request clips the intervals
+// against its watermark like any other charge. Spans and the request therefore agree for a
+// one-page request that completes with its flash op, and differ by design where the ledger
+// clips (overlapping multi-page charges), truncates (buffered write acks) or reclassifies
+// (InterferenceScope).
 //
 // Composite layers (the fleet gives every device its own Telemetry bundle) call DelegateTo
 // so device-level charges land in the fleet-level active request; one hop only, like the
@@ -94,6 +114,26 @@ const char* PathSegmentName(PathSegment seg);
 // Folds an interfering write cause into the stall segment it manifests as.
 PathSegment SegmentForCause(WriteCause cause);
 
+// One host flash op's wall-to-wall decomposition of [issue, done): consecutive pieces, each
+// kDeviceQueue, kFlashBusy or kGcStall (the wait behind maintenance on the target plane, whose
+// interferer gc_cause / gc_layer / gc_track name).
+struct FlashOpCharge {
+  static constexpr int kMaxPieces = 5;
+  struct Piece {
+    SimTime end = 0;
+    PathSegment segment = PathSegment::kFlashBusy;
+  };
+  SimTime issue = 0;
+  WriteCause gc_cause = WriteCause::kHostWrite;
+  StackLayer gc_layer = StackLayer::kHost;
+  std::string_view gc_track;
+  Piece pieces[kMaxPieces] = {};
+  int count = 0;
+
+  // Appends the piece [end of the previous piece (or issue), end).
+  void Then(SimTime end, PathSegment segment) { pieces[count++] = Piece{end, segment}; }
+};
+
 struct ReqPathConfig {
   // Worst-k reservoir size per op class.
   std::size_t exemplars_per_op = 8;
@@ -112,7 +152,10 @@ struct SloObjective {
 
 class RequestPathLedger {
  public:
-  RequestPathLedger() = default;
+  // Ended spans record into `registry` and, when non-null, `timeline`. A ledger built without
+  // a registry measures requests only and must not open spans.
+  explicit RequestPathLedger(MetricRegistry* registry = nullptr, Timeline* timeline = nullptr)
+      : span_registry_(registry), span_timeline_(timeline) {}
   RequestPathLedger(const RequestPathLedger&) = delete;
   RequestPathLedger& operator=(const RequestPathLedger&) = delete;
 
@@ -131,6 +174,77 @@ class RequestPathLedger {
   // Registers an SLO objective (deduplicated by name; re-adding replaces).
   void AddObjective(const SloObjective& objective);
 
+  // --- Named spans (see file comment) -----------------------------------------------------
+
+  // An interned span name and its recording instruments.
+  struct SpanName {
+    std::string name;
+    Histogram* total_ns = nullptr;  // Null until the first span of this name ends.
+    Histogram* queue_ns = nullptr;
+    Histogram* gc_ns = nullptr;
+    Histogram* flash_ns = nullptr;
+    Histogram* host_ns = nullptr;
+    Counter* abandoned = nullptr;  // Null until the first span of this name is abandoned.
+  };
+
+  // Handle to one open span. Move-only; End() records it, destruction without End() abandons
+  // it (counted, nothing recorded).
+  class Span {
+   public:
+    Span() = default;  // Inactive handle: End() is a no-op.
+    Span(Span&& other) noexcept : ledger_(other.ledger_), id_(other.id_) {
+      other.ledger_ = nullptr;
+    }
+    Span& operator=(Span&& other) noexcept {
+      if (this != &other) {
+        Abandon();
+        ledger_ = other.ledger_;
+        id_ = other.id_;
+        other.ledger_ = nullptr;
+      }
+      return *this;
+    }
+    Span(const Span&) = delete;
+    Span& operator=(const Span&) = delete;
+    ~Span() { Abandon(); }
+
+    // Ends the span at `end` and records its histograms. Idempotent.
+    void End(SimTime end) {
+      if (ledger_ != nullptr) {
+        ledger_->FinishSpan(id_, end);
+        ledger_ = nullptr;
+      }
+    }
+    bool active() const { return ledger_ != nullptr; }
+
+   private:
+    friend class RequestPathLedger;
+    Span(RequestPathLedger* ledger, std::uint64_t id) : ledger_(ledger), id_(id) {}
+    void Abandon() {
+      if (ledger_ != nullptr) {
+        ledger_->AbandonSpan(id_);
+        ledger_ = nullptr;
+      }
+    }
+
+    RequestPathLedger* ledger_ BLOCKHEAD_SIM_GLOBAL = nullptr;
+    std::uint64_t id_ BLOCKHEAD_SIM_GLOBAL = 0;
+  };
+
+  // The record for `name`, created on first use. Valid for the ledger's lifetime.
+  SpanName* InternSpan(std::string_view name);
+  // Opens a span of an interned name starting at `begin` on this ledger (never delegated).
+  Span StartSpan(SpanName* name, SimTime begin);
+  // Convenience for cold paths: interns `name` (one map lookup), then opens the span.
+  Span StartSpan(std::string_view name, SimTime begin) {
+    return StartSpan(InternSpan(name), begin);
+  }
+  // Drains every still-open span into its abandoned counter. The bench harness calls this in
+  // teardown so spans left open on early exit show in the final snapshot. Handles to drained
+  // spans become inert.
+  void AbandonOpenSpans();
+  std::size_t open_spans() const { return open_spans_.size(); }
+
   // RAII ownership of one request's measurement. Outermost wins: constructing a scope while
   // a request is already active yields an inert scope (the fleet driver opens the real one;
   // Fleet::Read/Write's internal scopes then no-op but still cover direct calls in tests).
@@ -139,11 +253,17 @@ class RequestPathLedger {
   class RequestScope {
    public:
     RequestScope(RequestPathLedger* ledger, const RequestContext& ctx, SimTime issue) {
+      Own(ledger, ctx, issue);
+    }
+    // Layer entry-point form: also opens `span` on `ledger` itself, ended by Complete() at the
+    // same time. With `own_request` false (internal work under a CauseScope) only the span
+    // opens.
+    RequestScope(RequestPathLedger* ledger, SpanName* span, const RequestContext& ctx,
+                 SimTime issue, bool own_request) {
       if (ledger != nullptr) {
-        RequestPathLedger* l = ledger->Resolve();
-        if (l->enabled_ && !l->active_ && l->suppress_ == 0) {
-          owner_ = l;
-          l->BeginRequest(ctx, issue);
+        span_ = ledger->StartSpan(span, issue);
+        if (own_request) {
+          Own(ledger, ctx, issue);
         }
       }
     }
@@ -156,6 +276,7 @@ class RequestPathLedger {
     }
 
     void Complete(SimTime completion) {
+      span_.End(completion);
       if (owner_ != nullptr) {
         owner_->CompleteRequest(completion);
         owner_ = nullptr;
@@ -165,7 +286,18 @@ class RequestPathLedger {
     bool owns() const { return owner_ != nullptr; }
 
    private:
+    void Own(RequestPathLedger* ledger, const RequestContext& ctx, SimTime issue) {
+      if (ledger != nullptr) {
+        RequestPathLedger* l = ledger->Resolve();
+        if (l->enabled_ && !l->active_ && l->suppress_ == 0) {
+          owner_ = l;
+          l->BeginRequest(ctx, issue);
+        }
+      }
+    }
+
     RequestPathLedger* owner_ BLOCKHEAD_SIM_GLOBAL = nullptr;
+    Span span_ BLOCKHEAD_SIM_GLOBAL;
   };
 
   // Marks a section as internal background work driven from *outside* any layer entry point
@@ -259,24 +391,17 @@ class RequestPathLedger {
     }
   }
 
-  // Hot-path charge for waits inflicted by competing work: like ChargeInterval, but the
-  // segment is derived from the interfering write cause (SegmentForCause), and the
-  // (cause, layer, track) identity feeds the request's interference matrix and the exemplar
-  // flow arrow. `track` is the timeline maintenance track the interferer ran on.
-  void ChargeInterference(SimTime start, SimTime end, WriteCause cause, StackLayer layer,
-                          std::string_view track) {
-    RequestPathLedger* l = Resolve();
-    if (l->active_) {
-      l->ChargeSlow(start, end, SegmentForCause(cause), /*is_interference=*/true, cause,
-                    layer, track);
-    }
-  }
-
-  // True when a request is active on the resolved ledger — lets layers skip charge
-  // bookkeeping wholesale.
+  // True when a request is active on the resolved ledger.
   bool InRequest() {
     return Resolve()->active_;
   }
+
+  // The flash device's one charge per host op: adds the piece durations to every span open
+  // on this ledger, and charges the pieces to the active request on the resolved ledger like
+  // ChargeInterval. A kGcStall piece is a wait inflicted by competing work: its segment
+  // follows op.gc_cause (SegmentForCause), and the (cause, layer, track) identity feeds the
+  // request's interference matrix and the exemplar flow arrow. No-op when neither is open.
+  void ChargeFlashOp(const FlashOpCharge& op);
 
   // --- Accumulated results (resolved ledger state; tests and sinks) -----------------------
 
@@ -407,6 +532,8 @@ class RequestPathLedger {
   void CompleteRequest(SimTime completion);
   void AbandonRequest();
   void OfferExemplar(const Exemplar& candidate);
+  void FinishSpan(std::uint64_t id, SimTime end);
+  void AbandonSpan(std::uint64_t id);
 
   bool enabled_ BLOCKHEAD_SIM_GLOBAL = false;
   ReqPathConfig config_ BLOCKHEAD_SIM_GLOBAL;
@@ -440,6 +567,22 @@ class RequestPathLedger {
   std::vector<Exemplar> exemplars_[kReqOpCount] BLOCKHEAD_SIM_GLOBAL;
   std::vector<SloState> slos_ BLOCKHEAD_SIM_GLOBAL;
   SimTime last_completion_ BLOCKHEAD_SIM_GLOBAL = 0;
+
+  // Spans: per-bundle, untouched by Enable and DelegateTo.
+  struct OpenSpan {
+    std::uint64_t id = 0;
+    SpanName* name = nullptr;
+    SimTime begin = 0;
+    SimTime queue_ns = 0;
+    SimTime gc_ns = 0;
+    SimTime flash_ns = 0;
+  };
+  MetricRegistry* span_registry_ BLOCKHEAD_SIM_GLOBAL;
+  Timeline* span_timeline_ BLOCKHEAD_SIM_GLOBAL;
+  std::vector<OpenSpan> open_spans_ BLOCKHEAD_SIM_GLOBAL;
+  std::map<std::string, SpanName, std::less<>> span_names_
+      BLOCKHEAD_SIM_GLOBAL;  // Interned names; map nodes never move.
+  std::uint64_t next_span_id_ BLOCKHEAD_SIM_GLOBAL = 1;
 };
 
 }  // namespace blockhead

@@ -1,12 +1,15 @@
-// The telemetry bundle handed to every layer: one registry + one tracer + one event log + one
-// timeline per measurement domain (usually one per bench process; benches comparing two stacks
-// attach both to the same bundle under distinct prefixes, e.g. "conv" and "zns").
+// The telemetry bundle handed to every layer: one registry + one event log + one timeline + one
+// request-path ledger (requests and named spans) per measurement domain (usually one per bench
+// process; benches comparing two stacks attach both to the same bundle under distinct
+// prefixes, e.g. "conv" and "zns").
 //
 // Layers accept a `Telemetry*` via AttachTelemetry(t, prefix) and must tolerate nullptr
 // (telemetry off — the default — costs nothing on the hot paths). The event log records typed
-// decisions (zone transitions, GC victims, scheduler windows) whenever telemetry is attached;
-// the timeline (span/maintenance slices + sampled utilization series) additionally requires
-// timeline.Enable(), which benches do for --trace/--timeseries.
+// decisions (zone transitions, GC victims, scheduler windows) and the ledger's spans record
+// span.* histograms whenever telemetry is attached; both are fed by the flash device's single
+// per-op charge (see src/telemetry/reqpath/request_path.h). The timeline (span/maintenance
+// slices + sampled utilization series) additionally requires timeline.Enable(), which benches
+// do for --trace/--timeseries.
 
 #ifndef BLOCKHEAD_SRC_TELEMETRY_TELEMETRY_H_
 #define BLOCKHEAD_SRC_TELEMETRY_TELEMETRY_H_
@@ -18,7 +21,6 @@
 #include "src/telemetry/reqpath/request_path.h"
 #include "src/telemetry/selfprof/self_profiler.h"
 #include "src/telemetry/timeline.h"
-#include "src/telemetry/trace.h"
 
 namespace blockhead {
 
@@ -26,7 +28,6 @@ struct Telemetry {
   MetricRegistry registry;
   EventLog events;
   Timeline timeline;
-  Tracer tracer{&registry};
   WriteProvenance provenance;
   // Host-side wall-clock self-profiler (disabled unless a bench enables it for --perf).
   // Deliberately has no registry provider: its selfprof.host.* metrics are wall-clock-domain
@@ -34,8 +35,9 @@ struct Telemetry {
   // snapshots behind the simulation's back.
   SelfProfiler selfprof;
   // Per-request critical-path ledger (disabled unless a bench enables it; publishes nothing
-  // while disabled, so feature-off snapshots match feature-absent ones byte for byte).
-  RequestPathLedger reqpath;
+  // while disabled, so feature-off snapshots match feature-absent ones byte for byte). Its
+  // named spans are always on: ended spans record into the registry and the timeline.
+  RequestPathLedger reqpath{&registry, &timeline};
   // State-digest auditor (disabled unless a bench enables it for --audit). Deliberately has
   // no registry provider: digests never appear in metric snapshots — enabled or not — so
   // BENCH_baseline.json and every byte-identity check are untouched by the feature. The
@@ -43,8 +45,7 @@ struct Telemetry {
   StateAudit audit;
 
   Telemetry() {
-    tracer.set_timeline(&timeline);    // Completed spans become timeline slices.
-    events.PublishTo(&registry);       // Event totals appear in every snapshot.
+    events.PublishTo(&registry);  // Event totals appear in every snapshot.
     // Per-cause program/erase counters and endurance projections join every snapshot.
     registry.AddProvider("provenance", [this] { provenance.PublishTo(&registry); });
     // Per-request segment totals, interference matrix, and SLO burn rates likewise.

@@ -7,7 +7,7 @@
 // of data, all stamped with model time only (never the wall clock), so two same-seed runs
 // serialize byte-identically:
 //
-//   * Span slices  — every completed Tracer span (a KV Get, an FTL write) becomes a duration
+//   * Span slices  — every completed ledger span (a KV Get, an FTL write) becomes a duration
 //     slice on a per-span-name track under the "host ops" process (pid 0).
 //   * Maintenance slices — device reclamation work (GC copy reads/programs, block erases,
 //     zone resets) on per-plane tracks under the "device maintenance" process (pid 1), so GC
@@ -115,7 +115,7 @@ struct TimelineConfig {
 class Timeline {
  public:
   // Chrome-trace process ids used for track grouping.
-  static constexpr std::uint32_t kHostPid = 0;         // Tracer span slices.
+  static constexpr std::uint32_t kHostPid = 0;         // Span slices.
   static constexpr std::uint32_t kMaintenancePid = 1;  // GC/erase/reset slices.
   static constexpr std::uint32_t kUtilizationPid = 2;  // Sampled counter series.
   static constexpr std::uint32_t kSelfProfilePid = 3;  // Host-clock self-profile slices.
@@ -130,7 +130,8 @@ class Timeline {
   bool enabled() const { return enabled_; }
   const TimelineConfig& config() const { return config_; }
 
-  // Records a completed tracer span as a slice on the per-name host track. Called by Tracer.
+  // Records a completed span as a slice on the per-name host track. Called by the
+  // request-path ledger.
   void RecordSpan(std::string_view name, SimTime begin, SimTime end) {
     if (enabled_) {
       PushSlice(kHostPid, name, name, begin, end);

@@ -290,9 +290,9 @@ Result<SimTime> ZoneFileSystem::Append(std::string_view name,
   if (file == nullptr) {
     return ErrorCode::kNotFound;
   }
-  Tracer::Span span;
+  RequestPathLedger::Span span;
   if (telemetry_ != nullptr) {
-    span = telemetry_->tracer.Start(append_span_, now);
+    span = telemetry_->reqpath.StartSpan(append_span_, now);
   }
   SimTime done = now;
   std::size_t consumed = 0;
@@ -334,9 +334,9 @@ Result<SimTime> ZoneFileSystem::Read(std::string_view name, std::uint64_t offset
     return ErrorCode::kOutOfRange;
   }
   stats_.bytes_read += out.size();
-  Tracer::Span span;
+  RequestPathLedger::Span span;
   if (telemetry_ != nullptr) {
-    span = telemetry_->tracer.Start(read_span_, now);
+    span = telemetry_->reqpath.StartSpan(read_span_, now);
   }
 
   SimTime done_all = now;
@@ -767,8 +767,8 @@ void ZoneFileSystem::AttachTelemetry(Telemetry* telemetry, std::string_view pref
     read_span_ = nullptr;
     return;
   }
-  append_span_ = telemetry_->tracer.Intern(metric_prefix_ + ".append");
-  read_span_ = telemetry_->tracer.Intern(metric_prefix_ + ".read");
+  append_span_ = telemetry_->reqpath.InternSpan(metric_prefix_ + ".append");
+  read_span_ = telemetry_->reqpath.InternSpan(metric_prefix_ + ".read");
   telemetry_->registry.AddProvider(metric_prefix_, [this] { PublishMetrics(); });
   audit_files_ = telemetry_->audit.Register(metric_prefix_ + ".extents");
   provenance_ingress_ = telemetry_->provenance.RegisterDomain(metric_prefix_);

@@ -1,7 +1,8 @@
-// Heap-allocation budgets for the LSM data path: SSTable point lookups and the table builder.
-// The tables live in an in-memory Env whose reads and appends never allocate, so the counter
-// (tests/heap_counter.h, which replaces the global operator new) sees only what the SSTable
-// code allocates.
+// Heap-allocation budgets for the hot data paths: SSTable point lookups and the table builder,
+// and the conventional FTL's steady state (reads, and writes with GC running), with telemetry
+// off and on. The counter (tests/heap_counter.h, which replaces the global operator new) sees
+// every allocation the code under test makes. The SSTables live in an in-memory Env whose
+// reads and appends never allocate, so there it sees only what the SSTable code allocates.
 
 #include "tests/heap_counter.h"
 
@@ -15,8 +16,11 @@
 #include <string_view>
 #include <vector>
 
+#include "src/ftl/conventional_ssd.h"
 #include "src/kv/env.h"
 #include "src/kv/sstable.h"
+#include "src/telemetry/telemetry.h"
+#include "src/util/rng.h"
 
 namespace blockhead {
 namespace {
@@ -171,6 +175,97 @@ TEST(SSTableBuilderHeapBudgetTest, AddIsAllocationFreeAmortised) {
   const auto doublings = static_cast<std::uint64_t>(std::ceil(std::log2(kMeasured))) + 1;
   EXPECT_LE(allocations, 2 * doublings) << "over " << blocks << " blocks";
   ASSERT_TRUE(builder.Finish(0).ok());
+}
+
+// A conventional SSD (Small geometry, 7% OP, greedy GC) driven to steady state: a random
+// overwrite of three times its logical space, so every measured write runs with GC active.
+class ConventionalSsdHeapBudgetTest : public ::testing::Test {
+ protected:
+  static constexpr std::uint64_t kMeasuredOps = 20000;
+
+  void SetUp() override {
+    FlashConfig flash;
+    flash.geometry = FlashGeometry::Small();
+    flash.timing = FlashTiming::FastForTests();
+    FtlConfig ftl;
+    ftl.op_fraction = 0.07;
+    ssd_ = std::make_unique<ConventionalSsd>(flash, ftl);
+    page_.assign(flash.geometry.page_size, 0x5a);
+    for (std::uint64_t i = 0; i < 3 * ssd_->num_blocks(); ++i) {
+      ASSERT_TRUE(Write());
+    }
+    ASSERT_GT(ssd_->ftl_stats().gc_runs, 0u);
+  }
+
+  bool Write() {
+    auto done = ssd_->WriteBlocks(Lba{rng_.NextBelow(ssd_->num_blocks())}, 1, now_, page_);
+    if (!done.ok()) {
+      return false;
+    }
+    now_ = done.value();
+    return true;
+  }
+
+  bool Read() {
+    auto done = ssd_->ReadBlocks(Lba{rng_.NextBelow(ssd_->num_blocks())}, 1, now_, page_);
+    if (!done.ok()) {
+      return false;
+    }
+    now_ = done.value();
+    return true;
+  }
+
+  std::unique_ptr<ConventionalSsd> ssd_;
+  std::vector<std::uint8_t> page_;
+  Rng rng_{7};
+  SimTime now_ = 0;
+};
+
+TEST_F(ConventionalSsdHeapBudgetTest, SteadyStateWritesWithGcDoNotAllocate) {
+  const std::uint64_t gc_runs_before = ssd_->ftl_stats().gc_runs;
+  HeapCounter counter;
+  for (std::uint64_t i = 0; i < kMeasuredOps; ++i) {
+    if (!Write()) {
+      FAIL() << "write failed at op " << i;
+    }
+  }
+  const std::uint64_t allocations = counter.allocations();
+  EXPECT_GT(ssd_->ftl_stats().gc_runs, gc_runs_before) << "GC must run inside the measured writes";
+  EXPECT_EQ(allocations, 0u);
+}
+
+TEST_F(ConventionalSsdHeapBudgetTest, SteadyStateReadsDoNotAllocate) {
+  HeapCounter counter;
+  for (std::uint64_t i = 0; i < kMeasuredOps; ++i) {
+    if (!Read()) {
+      FAIL() << "read failed at op " << i;
+    }
+  }
+  EXPECT_EQ(counter.allocations(), 0u);
+}
+
+// With telemetry attached every read opens and ends a span and charges it from the flash
+// device. After a warm-up pass (first-use registrations, container capacity), the span path
+// must not allocate.
+TEST_F(ConventionalSsdHeapBudgetTest, SteadyStateReadsWithTelemetryDoNotAllocate) {
+  Telemetry telemetry;
+  ssd_->AttachTelemetry(&telemetry, "conv");
+  for (std::uint64_t i = 0; i < kMeasuredOps; ++i) {
+    ASSERT_TRUE(Read());
+  }
+  const std::uint64_t spans_before =
+      telemetry.registry.GetHistogram("span.conv.ftl.read.total_ns")->count();
+  HeapCounter counter;
+  for (std::uint64_t i = 0; i < kMeasuredOps; ++i) {
+    if (!Read()) {
+      FAIL() << "read failed at op " << i;
+    }
+  }
+  const std::uint64_t allocations = counter.allocations();
+  EXPECT_EQ(telemetry.registry.GetHistogram("span.conv.ftl.read.total_ns")->count(),
+            spans_before + kMeasuredOps);
+  EXPECT_EQ(allocations, 0u);
+  ssd_->AttachTelemetry(nullptr);
 }
 
 }  // namespace

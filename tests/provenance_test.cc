@@ -323,11 +323,11 @@ TEST(ProvenanceTest, SameSeedLedgerDumpsAreByteIdentical) {
 // instead of silently vanishing from the final snapshot.
 TEST(ProvenanceTest, AbandonOpenCountsLeakedSpans) {
   Telemetry tel;
-  Tracer::Span leaked = tel.tracer.Start("op.write", 0);
-  Tracer::Span leaked2 = tel.tracer.Start("op.read", 5);
-  ASSERT_EQ(tel.tracer.open_spans(), 2u);
-  tel.tracer.AbandonOpen();
-  EXPECT_EQ(tel.tracer.open_spans(), 0u);
+  RequestPathLedger::Span leaked = tel.reqpath.StartSpan("op.write", 0);
+  RequestPathLedger::Span leaked2 = tel.reqpath.StartSpan("op.read", 5);
+  ASSERT_EQ(tel.reqpath.open_spans(), 2u);
+  tel.reqpath.AbandonOpenSpans();
+  EXPECT_EQ(tel.reqpath.open_spans(), 0u);
   leaked.End(10);  // Inert: the span was already drained.
   bool found = false;
   for (const auto& entry : tel.registry.Snapshot()) {

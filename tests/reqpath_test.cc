@@ -3,11 +3,13 @@
 // exactly), scope semantics (outermost-wins, suppression, overrides, interference identity),
 // the deterministic worst-k exemplar reservoir, SLO burn-rate math, and the identity held
 // end-to-end across real stack configs — conventional SSD, host-FTL-on-ZNS, persistent
-// queue, and a fleet with admission + rebalancing active.
+// queue, and a fleet with admission + rebalancing active — and, per request, the named spans
+// cross-checked against the segments fed by the same flash decomposition.
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/fleet/fleet.h"
@@ -76,6 +78,90 @@ void ExpectAttributionIdentity(const RequestPathLedger& ledger) {
 
 std::uint64_t Seg(const RequestPathLedger& ledger, ReqOp op, PathSegment s) {
   return ledger.op_totals(op).seg_ns[static_cast<int>(s)];
+}
+
+// --- Span / ledger cross-check -------------------------------------------------------------
+//
+// Spans and request segments come from the same per-op decomposition the flash device hands
+// to ChargeFlashOp, so for a one-page request that completes with its flash op the outermost
+// span's {queue, gc, flash, host}_ns equal the request's {device_queue, gc_stall, flash_busy,
+// host_other}. They differ by design where the ledger enforces exclusivity and host
+// visibility and the span does not:
+//
+//   * Watermark clipping. Overlapping charges (the pages of a multi-page read run in parallel
+//     from the same issue time) each add their full duration to the span; the request keeps
+//     only the part past its watermark. The span's components can then exceed its total.
+//   * Truncation at a buffered ack. A write acknowledged from the device buffer before its
+//     program lands: the request truncates its charges at the ack, the span keeps the whole
+//     program and its host component floors at 0.
+//   * InterferenceScope. Foreground reclaim's own host-class flash ops are reclassified as
+//     compaction_stall in the request; the span still counts them as flash / queue / gc.
+//
+// Each of the three is observed by at least one assertion below. Two more follow from what
+// the request knows beyond the flash op: the zone device charges write-pointer serialization
+// waits straight to the request's device_queue (a span sees host time), and a GC-stall piece
+// whose interferer is host-side reclaim lands in compaction_stall (SegmentForCause) where the
+// span counts gc.
+
+// One request's span components: the growth of the span.<name>.* sums across the request.
+struct SpanSample {
+  std::uint64_t total = 0;
+  std::uint64_t queue = 0;
+  std::uint64_t gc = 0;
+  std::uint64_t flash = 0;
+  std::uint64_t host = 0;
+
+  std::uint64_t attributed() const { return queue + gc + flash; }
+};
+
+SpanSample SpanSums(MetricRegistry& registry, const std::string& span) {
+  const std::string p = "span." + span;
+  return SpanSample{registry.GetHistogram(p + ".total_ns")->sum(),
+                    registry.GetHistogram(p + ".queue_ns")->sum(),
+                    registry.GetHistogram(p + ".gc_ns")->sum(),
+                    registry.GetHistogram(p + ".flash_ns")->sum(),
+                    registry.GetHistogram(p + ".host_ns")->sum()};
+}
+
+SpanSample operator-(const SpanSample& a, const SpanSample& b) {
+  return SpanSample{a.total - b.total, a.queue - b.queue, a.gc - b.gc, a.flash - b.flash,
+                    a.host - b.host};
+}
+
+std::uint64_t ReqSeg(const RequestPathLedger::Exemplar& req, PathSegment s) {
+  return req.seg_ns[static_cast<int>(s)];
+}
+
+// The request's segments that have a span counterpart.
+std::uint64_t ReqAttributed(const RequestPathLedger::Exemplar& req) {
+  return ReqSeg(req, PathSegment::kDeviceQueue) + ReqSeg(req, PathSegment::kGcStall) +
+         ReqSeg(req, PathSegment::kFlashBusy);
+}
+
+// Asserts span == request component by component.
+void ExpectSpanMatchesRequest(const SpanSample& span, const RequestPathLedger::Exemplar& req) {
+  EXPECT_EQ(span.total, req.latency_ns);
+  EXPECT_EQ(span.queue, ReqSeg(req, PathSegment::kDeviceQueue));
+  EXPECT_EQ(span.gc, ReqSeg(req, PathSegment::kGcStall));
+  EXPECT_EQ(span.flash, ReqSeg(req, PathSegment::kFlashBusy));
+  EXPECT_EQ(span.host, ReqSeg(req, PathSegment::kHostOther));
+}
+
+// Runs `op` (one request that opens the outermost span `span`) and returns its span sample.
+template <typename Op>
+SpanSample MeasureSpan(MetricRegistry& registry, const std::string& span, Op op) {
+  const SpanSample before = SpanSums(registry, span);
+  op();
+  return SpanSums(registry, span) - before;
+}
+
+// Charges [start, end) as a wait behind interfering work: the GC-stall piece of a flash op,
+// whose segment follows the interferer's cause.
+void ChargeInterference(RequestPathLedger& ledger, SimTime start, SimTime end, WriteCause cause,
+                        StackLayer layer, std::string_view track) {
+  FlashOpCharge op{.issue = start, .gc_cause = cause, .gc_layer = layer, .gc_track = track};
+  op.Then(end, PathSegment::kGcStall);
+  ledger.ChargeFlashOp(op);
 }
 
 // --- Ledger unit tests --------------------------------------------------------------------
@@ -203,10 +289,10 @@ TEST(ReqPathTest, InterferenceChargesCarryCauseLayerAndTrackIdentity) {
   ledger.Enable();
   RequestPathLedger::RequestScope scope(&ledger, RequestContext{3, ReqOp::kRead}, 0);
   ledger.ChargeInterval(0, 100, PathSegment::kFlashBusy);
-  ledger.ChargeInterference(100, 400, WriteCause::kDeviceGC, StackLayer::kFtl, "dev.gc");
+  ChargeInterference(ledger, 100, 400, WriteCause::kDeviceGC, StackLayer::kFtl, "dev.gc");
   // A second, shorter interferer: the exemplar keeps the longest single interval.
-  ledger.ChargeInterference(400, 500, WriteCause::kBlockEmulationReclaim,
-                            StackLayer::kHostFtl, "hostftl.gc");
+  ChargeInterference(ledger, 400, 500, WriteCause::kBlockEmulationReclaim, StackLayer::kHostFtl,
+                     "hostftl.gc");
   scope.Complete(500);
 
   EXPECT_EQ(Seg(ledger, ReqOp::kRead, PathSegment::kGcStall), 300u);
@@ -357,7 +443,7 @@ TEST(ReqPathTest, PublishToEmitsSegmentTenantAndInterferenceRows) {
   {
     RequestPathLedger::RequestScope scope(&ledger, RequestContext{7, ReqOp::kRead}, 0);
     ledger.ChargeInterval(0, 60, PathSegment::kFlashBusy);
-    ledger.ChargeInterference(60, 100, WriteCause::kDeviceGC, StackLayer::kFtl, "dev.gc");
+    ChargeInterference(ledger, 60, 100, WriteCause::kDeviceGC, StackLayer::kFtl, "dev.gc");
     scope.Complete(100);
   }
   MetricRegistry registry;
@@ -376,8 +462,8 @@ TEST(ReqPathTest, ExemplarTimelineEmitsVictimSlicesAndFlowArrows) {
   {
     RequestPathLedger::RequestScope scope(&telemetry.reqpath,
                                           RequestContext{1, ReqOp::kRead}, 100);
-    telemetry.reqpath.ChargeInterference(150, 400, WriteCause::kDeviceGC, StackLayer::kFtl,
-                                         "dev.gc");
+    ChargeInterference(telemetry.reqpath, 150, 400, WriteCause::kDeviceGC, StackLayer::kFtl,
+                       "dev.gc");
     scope.Complete(500);
   }
   telemetry.reqpath.EmitExemplarTimeline(&telemetry.timeline);
@@ -399,32 +485,78 @@ TEST(ReqPathStackTest, ConventionalSsdHoldsTheIdentityUnderGc) {
   SimTime t = 0;
   const std::uint64_t span = ssd.num_blocks() / 4;
   std::uint64_t ops = 0;
+  std::uint64_t matched = 0;
+  std::uint64_t truncated = 0;
+  const Histogram* program_latency = tel.registry.GetHistogram("conv.flash.program.latency_ns");
   // Heavy overwrites in a narrow range force GC under the measured writes.
   for (int round = 0; round < 6; ++round) {
     for (std::uint64_t b = 0; b < span; ++b) {
-      auto w = ssd.WriteBlocks(Lba{b}, 1, t, Pattern(4096, static_cast<std::uint8_t>(b)));
-      ASSERT_TRUE(w.ok());
-      t = w.value();
+      const std::uint64_t program_ns_before = program_latency->sum();
+      const SpanSample s = MeasureSpan(tel.registry, "conv.ftl.write", [&] {
+        auto w = ssd.WriteBlocks(Lba{b}, 1, t, Pattern(4096, static_cast<std::uint8_t>(b)));
+        ASSERT_TRUE(w.ok());
+        t = w.value();
+      });
       ops++;
+      // The one host program was issued at the request's issue time.
+      const std::uint64_t program_ns = program_latency->sum() - program_ns_before;
+      const RequestPathLedger::Exemplar& req = tel.reqpath.last_completed();
+      EXPECT_EQ(s.total, req.latency_ns);
+      if (program_ns == req.latency_ns) {
+        ExpectSpanMatchesRequest(s, req);  // Acked at program completion.
+        matched++;
+      } else if (program_ns > req.latency_ns) {
+        // Truncation at a buffered ack: the span keeps the whole program, floors host at 0.
+        EXPECT_EQ(s.attributed(), program_ns);
+        EXPECT_EQ(s.host, 0u);
+        EXPECT_EQ(ReqAttributed(req), req.latency_ns);
+        EXPECT_LT(ReqAttributed(req), s.attributed());
+        truncated++;
+      }
     }
   }
+  EXPECT_GT(truncated, 0u);
   std::vector<std::uint8_t> out(4096);
   for (std::uint64_t b = 0; b < span; ++b) {
-    auto r = ssd.ReadBlocks(Lba{b}, 1, t, out);
+    const SpanSample s = MeasureSpan(tel.registry, "conv.ftl.read", [&] {
+      auto r = ssd.ReadBlocks(Lba{b}, 1, t, out);
+      ASSERT_TRUE(r.ok());
+      t = r.value();
+    });
+    ops++;
+    ExpectSpanMatchesRequest(s, tel.reqpath.last_completed());  // One page, no buffering.
+    matched++;
+  }
+  EXPECT_GT(matched, 0u);
+  // Watermark clipping: four pages on four planes read in parallel from one issue time.
+  std::vector<std::uint8_t> out4(4 * 4096);
+  const SpanSample s4 = MeasureSpan(tel.registry, "conv.ftl.read", [&] {
+    auto r = ssd.ReadBlocks(Lba{0}, 4, t, out4);
     ASSERT_TRUE(r.ok());
     t = r.value();
-    ops++;
-  }
+  });
+  ops++;
+  const RequestPathLedger::Exemplar& req4 = tel.reqpath.last_completed();
+  EXPECT_EQ(s4.total, req4.latency_ns);
+  EXPECT_GT(s4.attributed(), s4.total);
+  EXPECT_EQ(s4.host, 0u);
+  EXPECT_EQ(ReqAttributed(req4), req4.latency_ns);
+
   EXPECT_EQ(tel.reqpath.completed(), ops);
   EXPECT_EQ(tel.reqpath.abandoned(), 0u);
   EXPECT_GT(Seg(tel.reqpath, ReqOp::kWrite, PathSegment::kFlashBusy), 0u);
   ExpectAttributionIdentity(tel.reqpath);
 }
 
-TEST(ReqPathStackTest, HostFtlOnZnsHoldsTheIdentityUnderReclaim) {
+// Host FTL on ZNS under full-space churn, relocating with the device's simple copy (the
+// default) or with host reads and writes, whose flash ops run inside the victim write's
+// InterferenceScope. Returns the number of writes whose request carried compaction_stall.
+std::uint64_t RunHostFtlOnZnsUnderReclaim(bool use_simple_copy) {
   Telemetry tel;
   ZnsDevice dev(SmallFlash(), DeviceConfig());
-  HostFtlBlockDevice ftl(&dev, HostFtlConfig{});
+  HostFtlConfig config;
+  config.use_simple_copy = use_simple_copy;
+  HostFtlBlockDevice ftl(&dev, config);
   dev.AttachTelemetry(&tel, "zns");  // Shared bundle: zns-level waits charge the same ledger.
   ftl.AttachTelemetry(&tel, "hostftl");
   tel.reqpath.Enable();
@@ -435,27 +567,48 @@ TEST(ReqPathStackTest, HostFtlOnZnsHoldsTheIdentityUnderReclaim) {
   SimTime t = 0;
   const std::uint64_t n = ftl.num_blocks();
   std::uint64_t ops = 0;
+  std::uint64_t reclassified = 0;
   for (std::uint64_t i = 0; i < 3 * n; ++i) {
     const std::uint64_t lba = rng.NextBelow(n);
-    auto w = ftl.WriteBlocks(Lba{lba}, 1, t, Pattern(4096, static_cast<std::uint8_t>(i)));
-    ASSERT_TRUE(w.ok()) << w.status().ToString() << " at op " << i;
-    t = w.value();
+    const SpanSample s = MeasureSpan(tel.registry, "hostftl.write", [&] {
+      auto w = ftl.WriteBlocks(Lba{lba}, 1, t, Pattern(4096, static_cast<std::uint8_t>(i)));
+      ASSERT_TRUE(w.ok()) << w.status().ToString() << " at op " << i;
+      t = w.value();
+    });
     ops++;
+    const RequestPathLedger::Exemplar& req = tel.reqpath.last_completed();
+    EXPECT_EQ(s.total, req.latency_ns);
+    if (ReqSeg(req, PathSegment::kCompactionStall) > 0) {
+      // InterferenceScope: the reclaim's flash time is compaction_stall in the request and
+      // flash in the span.
+      EXPECT_GT(s.flash, ReqSeg(req, PathSegment::kFlashBusy));
+      reclassified++;
+    }
   }
   std::vector<std::uint8_t> out(4096);
   for (std::uint64_t b = 0; b < n; b += 7) {
-    auto r = ftl.ReadBlocks(Lba{b}, 1, t, out);
-    ASSERT_TRUE(r.ok());
-    t = r.value();
+    const SpanSample s = MeasureSpan(tel.registry, "hostftl.read", [&] {
+      auto r = ftl.ReadBlocks(Lba{b}, 1, t, out);
+      ASSERT_TRUE(r.ok());
+      t = r.value();
+    });
     ops++;
+    ExpectSpanMatchesRequest(s, tel.reqpath.last_completed());  // One page, no buffering.
   }
-  ASSERT_GT(ftl.stats().gc_cycles, 0u) << "churn must trigger host reclaim";
+  EXPECT_GT(ftl.stats().gc_cycles, 0u) << "churn must trigger host reclaim";
   EXPECT_EQ(tel.reqpath.completed(), ops);
   ExpectAttributionIdentity(tel.reqpath);
   // Reclaim ran inside measured writes and was attributed with its identity.
   EXPECT_GT(
       tel.reqpath.interference_ns(WriteCause::kBlockEmulationReclaim, StackLayer::kHostFtl),
       0u);
+  return reclassified;
+}
+
+TEST(ReqPathStackTest, HostFtlOnZnsHoldsTheIdentityUnderReclaim) {
+  RunHostFtlOnZnsUnderReclaim(/*use_simple_copy=*/true);
+  // Host-copy reclaim runs host-class flash ops inside the victim write's InterferenceScope.
+  EXPECT_GT(RunHostFtlOnZnsUnderReclaim(/*use_simple_copy=*/false), 0u);
 }
 
 TEST(ReqPathStackTest, PersistentQueueHoldsTheIdentityWithTenantTagging) {

@@ -1,6 +1,7 @@
 // Unit tests for the telemetry subsystem: registry semantics (get-or-create, kind collisions,
-// snapshot order, providers), tracing spans (nesting, charging, abandonment), deterministic
-// sink output, and measured (not estimated) GC-interference attribution at the flash layer.
+// snapshot order, providers), the request-path ledger's named spans (nesting, charging,
+// abandonment), deterministic sink output, and measured (not estimated) GC-interference
+// attribution at the flash layer.
 
 #include <gtest/gtest.h>
 
@@ -15,7 +16,6 @@
 #include "src/telemetry/metric_registry.h"
 #include "src/telemetry/sink.h"
 #include "src/telemetry/telemetry.h"
-#include "src/telemetry/trace.h"
 #include "src/util/rng.h"
 
 namespace blockhead {
@@ -84,11 +84,20 @@ TEST(MetricRegistryTest, ProvidersRunBeforeSnapshotAndReplaceById) {
   EXPECT_EQ(snap[0].counter, 10u);
 }
 
-TEST(TracerTest, SpanRecordsComponentHistograms) {
+// Charges one synthetic flash op of the given components to `ledger`'s open spans.
+void ChargeComponents(RequestPathLedger& ledger, SimTime queue, SimTime gc, SimTime flash) {
+  FlashOpCharge c;
+  c.Then(queue, PathSegment::kDeviceQueue);
+  c.Then(queue + gc, PathSegment::kGcStall);
+  c.Then(queue + gc + flash, PathSegment::kFlashBusy);
+  ledger.ChargeFlashOp(c);
+}
+
+TEST(SpanTest, SpanRecordsComponentHistograms) {
   MetricRegistry reg;
-  Tracer tracer(&reg);
-  Tracer::Span span = tracer.Start("op", 1000);
-  tracer.Charge({/*queue_ns=*/10, /*gc_ns=*/20, /*flash_ns=*/30, /*flash_ops=*/1});
+  RequestPathLedger ledger(&reg);
+  RequestPathLedger::Span span = ledger.StartSpan("op", 1000);
+  ChargeComponents(ledger, /*queue=*/10, /*gc=*/20, /*flash=*/30);
   span.End(1100);
   const Histogram* total = reg.GetHistogram("span.op.total_ns");
   const Histogram* queue = reg.GetHistogram("span.op.queue_ns");
@@ -104,56 +113,56 @@ TEST(TracerTest, SpanRecordsComponentHistograms) {
   EXPECT_EQ(host->sum(), 40u);  // 100 - (10 + 20 + 30).
 }
 
-TEST(TracerTest, NestedSpansBothSeeCharges) {
+TEST(SpanTest, NestedSpansBothSeeCharges) {
   MetricRegistry reg;
-  Tracer tracer(&reg);
-  Tracer::Span outer = tracer.Start("outer", 0);
-  Tracer::Span inner = tracer.Start("inner", 10);
-  EXPECT_EQ(tracer.open_spans(), 2u);
-  tracer.Charge({0, 0, /*flash_ns=*/50, 1});
+  RequestPathLedger ledger(&reg);
+  RequestPathLedger::Span outer = ledger.StartSpan("outer", 0);
+  RequestPathLedger::Span inner = ledger.StartSpan("inner", 10);
+  EXPECT_EQ(ledger.open_spans(), 2u);
+  ChargeComponents(ledger, 0, 0, /*flash=*/50);
   inner.End(100);
   // Only the outer span remains open; further charges reach it alone.
-  tracer.Charge({0, 0, /*flash_ns=*/25, 1});
+  ChargeComponents(ledger, 0, 0, /*flash=*/25);
   outer.End(200);
   EXPECT_EQ(reg.GetHistogram("span.inner.flash_ns")->sum(), 50u);
   EXPECT_EQ(reg.GetHistogram("span.outer.flash_ns")->sum(), 75u);
-  EXPECT_FALSE(tracer.active());
+  EXPECT_EQ(ledger.open_spans(), 0u);
 }
 
-TEST(TracerTest, AbandonedSpanRecordsNothingButIsCounted) {
+TEST(SpanTest, AbandonedSpanRecordsNothingButIsCounted) {
   MetricRegistry reg;
-  Tracer tracer(&reg);
+  RequestPathLedger ledger(&reg);
   {
-    Tracer::Span span = tracer.Start("lost", 0);
-    tracer.Charge({1, 2, 3, 1});
+    RequestPathLedger::Span span = ledger.StartSpan("lost", 0);
+    ChargeComponents(ledger, 1, 2, 3);
     // Destroyed without End(): the error-path contract.
   }
-  EXPECT_FALSE(tracer.active());
+  EXPECT_EQ(ledger.open_spans(), 0u);
   EXPECT_FALSE(reg.Lookup("span.lost.total_ns"));
   // The leak is not silent: each abandonment bumps a per-name counter.
   ASSERT_TRUE(reg.Lookup("span.lost.abandoned"));
   EXPECT_EQ(reg.GetCounter("span.lost.abandoned")->value(), 1u);
   {
-    Tracer::Span again = tracer.Start("lost", 10);
+    RequestPathLedger::Span again = ledger.StartSpan("lost", 10);
   }
   EXPECT_EQ(reg.GetCounter("span.lost.abandoned")->value(), 2u);
   // Ended spans never touch the abandoned counter.
-  Tracer::Span ok = tracer.Start("fine", 0);
+  RequestPathLedger::Span ok = ledger.StartSpan("fine", 0);
   ok.End(5);
   EXPECT_FALSE(reg.Lookup("span.fine.abandoned"));
 }
 
-TEST(TracerTest, InternedNamesShareRecordsAndRegisterOnlyWhenUsed) {
+TEST(SpanTest, InternedNamesShareRecordsAndRegisterOnlyWhenUsed) {
   MetricRegistry reg;
-  Tracer tracer(&reg);
-  Tracer::SpanName* op = tracer.Intern("op");
-  EXPECT_EQ(tracer.Intern("op"), op);
-  EXPECT_NE(tracer.Intern("other"), op);
+  RequestPathLedger ledger(&reg);
+  RequestPathLedger::SpanName* op = ledger.InternSpan("op");
+  EXPECT_EQ(ledger.InternSpan("op"), op);
+  EXPECT_NE(ledger.InternSpan("other"), op);
   // Interning alone registers nothing: metrics appear only once a span records.
   EXPECT_EQ(reg.size(), 0u);
-  Tracer::Span by_record = tracer.Start(op, 0);
+  RequestPathLedger::Span by_record = ledger.StartSpan(op, 0);
   by_record.End(10);
-  Tracer::Span by_name = tracer.Start("op", 0);
+  RequestPathLedger::Span by_name = ledger.StartSpan("op", 0);
   by_name.End(30);
   EXPECT_EQ(reg.GetHistogram("span.op.total_ns")->count(), 2u);
   EXPECT_EQ(reg.GetHistogram("span.op.total_ns")->sum(), 40u);
@@ -161,11 +170,11 @@ TEST(TracerTest, InternedNamesShareRecordsAndRegisterOnlyWhenUsed) {
   EXPECT_FALSE(reg.Lookup("span.op.abandoned"));
 }
 
-TEST(TracerTest, EndIsIdempotentAndMovedFromHandleInert) {
+TEST(SpanTest, EndIsIdempotentAndMovedFromHandleInert) {
   MetricRegistry reg;
-  Tracer tracer(&reg);
-  Tracer::Span a = tracer.Start("op", 0);
-  Tracer::Span b = std::move(a);
+  RequestPathLedger ledger(&reg);
+  RequestPathLedger::Span a = ledger.StartSpan("op", 0);
+  RequestPathLedger::Span b = std::move(a);
   EXPECT_FALSE(a.active());  // NOLINT(bugprone-use-after-move): moved-from must be inert.
   a.End(50);                 // No-op.
   b.End(100);
@@ -189,7 +198,7 @@ TEST(FlashTelemetryTest, HostReadBehindEraseChargesGcTime) {
   // Start maintenance (an erase of another block on the same plane), then issue a host read
   // while the plane is still busy erasing.
   ASSERT_TRUE(flash.EraseBlock(ChannelId{0}, PlaneId{0}, BlockId{1}, t0).ok());
-  Tracer::Span span = tel.tracer.Start("probe", t0);
+  RequestPathLedger::Span span = tel.reqpath.StartSpan("probe", t0);
   Result<SimTime> read = flash.ReadPage(addr, t0);
   ASSERT_TRUE(read.ok());
   span.End(read.value());
@@ -200,6 +209,36 @@ TEST(FlashTelemetryTest, HostReadBehindEraseChargesGcTime) {
   // The wait was maintenance, not foreground contention.
   EXPECT_EQ(tel.registry.GetHistogram("span.probe.queue_ns")->sum(), 0u);
   EXPECT_GT(tel.registry.GetHistogram("span.probe.flash_ns")->sum(), 0u);
+}
+
+// The program side of the same measurement, and the proof that one decomposition feeds both
+// consumers: a host program queued behind an erase charges the span's gc_ns and the active
+// request's gc_stall the same nanoseconds.
+TEST(FlashTelemetryTest, HostProgramBehindEraseChargesGcTimeToSpanAndRequest) {
+  Telemetry tel;
+  FlashDevice flash(SmallFlash());
+  flash.AttachTelemetry(&tel, "flash");
+  tel.reqpath.Enable();
+
+  ASSERT_TRUE(flash.ProgramPage(PhysAddr{ChannelId{0}, PlaneId{0}, BlockId{0}, PageId{0}}, 0)
+                  .ok());
+  const SimTime t0 = flash.PlaneBusyUntil(ChannelId{0}, PlaneId{0});
+  ASSERT_TRUE(flash.EraseBlock(ChannelId{0}, PlaneId{0}, BlockId{1}, t0).ok());
+
+  RequestPathLedger::RequestScope request(&tel.reqpath, RequestContext{0, ReqOp::kWrite}, t0);
+  RequestPathLedger::Span span = tel.reqpath.StartSpan("probe", t0);
+  Result<SimTime> program =
+      flash.ProgramPage(PhysAddr{ChannelId{0}, PlaneId{0}, BlockId{0}, PageId{1}}, t0);
+  ASSERT_TRUE(program.ok());
+  span.End(program.value());
+  request.Complete(program.value());
+
+  const std::uint64_t gc_ns = tel.registry.GetHistogram("span.probe.gc_ns")->sum();
+  EXPECT_GT(gc_ns, 0u);
+  EXPECT_EQ(tel.registry.GetHistogram("span.probe.queue_ns")->sum(), 0u);
+  ASSERT_EQ(tel.reqpath.completed(), 1u);
+  EXPECT_EQ(tel.reqpath.last_completed().seg_ns[static_cast<int>(PathSegment::kGcStall)],
+            gc_ns);
 }
 
 // A host read queued behind an earlier *host* program charges queue_ns, not gc_ns.
@@ -213,7 +252,7 @@ TEST(FlashTelemetryTest, HostReadBehindHostProgramChargesQueueTime) {
   PhysAddr next{ChannelId{0}, PlaneId{0}, BlockId{0}, PageId{1}};
   ASSERT_TRUE(flash.ProgramPage(next, 0).ok());  // Plane busy with host work.
 
-  Tracer::Span span = tel.tracer.Start("probe", 0);
+  RequestPathLedger::Span span = tel.reqpath.StartSpan("probe", 0);
   Result<SimTime> read = flash.ReadPage(addr, 0);
   ASSERT_TRUE(read.ok());
   span.End(read.value());

@@ -425,9 +425,10 @@ def parse_file(info):
                 j += 1
             if body_lo is not None:
                 scan_body_for_statics(body_lo, body_hi)
-                # Brace-init members (`Tracer tracer{&registry};`) carry no '(' and no
-                # body keyword; real bodies follow a ')' — distinguish by the last stmt
-                # token: a declarator name means brace-init, ')' / noexcept etc. a body.
+                # Brace-init members (`RequestPathLedger reqpath{&registry, &timeline};`)
+                # carry no '(' and no body keyword; real bodies follow a ')' — distinguish
+                # by the last stmt token: a declarator name means brace-init, ')' /
+                # noexcept etc. a body.
                 if stmt and re.match(r"[A-Za-z_]\w*$", stmt[-1].value) \
                         and stmt[-1].value not in CXX_KEYWORDS \
                         and "(" not in [t.value for t in stmt]:
