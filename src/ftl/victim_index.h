@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "src/core/shard_safety.h"
 #include "src/util/bitmap.h"
 
 namespace blockhead {
@@ -76,8 +75,8 @@ class VictimIndex {
   }
 
  private:
-  Bitmap members_ BLOCKHEAD_SHARD_LOCAL(owner);
-  std::vector<Bitmap> buckets_ BLOCKHEAD_SHARD_LOCAL(owner);  // Indexed by valid-page count.
+  Bitmap members_;
+  std::vector<Bitmap> buckets_;  // Indexed by valid-page count.
 };
 
 }  // namespace blockhead

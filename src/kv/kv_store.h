@@ -165,8 +165,8 @@ class KvStore {
   Telemetry* telemetry_ = nullptr;
   std::string metric_prefix_;
   // Span names interned at attach time, so Put/Get open spans without building strings.
-  RequestPathLedger::SpanName* put_span_ BLOCKHEAD_SIM_GLOBAL = nullptr;
-  RequestPathLedger::SpanName* get_span_ BLOCKHEAD_SIM_GLOBAL = nullptr;
+  RequestPathLedger::SpanName* put_span_ = nullptr;
+  RequestPathLedger::SpanName* get_span_ = nullptr;
   // User bytes accepted by Put/Delete, accumulated into the provenance ledger's domain
   // "<prefix>" as the top link of the factorized-WA chain.
   Bytes* provenance_ingress_ = nullptr;

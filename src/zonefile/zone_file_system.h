@@ -222,8 +222,8 @@ class ZoneFileSystem {
   std::string metric_prefix_;
   int sampler_group_ = -1;  // Timeline group for free-space / WA gauges.
   // Span names interned at attach time, so Append/Read open spans without building strings.
-  RequestPathLedger::SpanName* append_span_ BLOCKHEAD_SIM_GLOBAL = nullptr;
-  RequestPathLedger::SpanName* read_span_ BLOCKHEAD_SIM_GLOBAL = nullptr;
+  RequestPathLedger::SpanName* append_span_ = nullptr;
+  RequestPathLedger::SpanName* read_span_ = nullptr;
   // Application bytes accepted by Append, accumulated into the provenance ledger's domain
   // "<prefix>" as a link in the factorized-WA chain.
   Bytes* provenance_ingress_ = nullptr;

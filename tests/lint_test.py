@@ -300,6 +300,69 @@ class DigestOrderRuleTest(unittest.TestCase):
                         os.path.join("src", "cache", "flash_cache.h"), text), [])
 
 
+class MutableStaticRuleTest(unittest.TestCase):
+    CC = os.path.join("src", "sched", "x.cc")
+
+    def names(self, text, path=None):
+        out = findings_of(lint.check_mutable_static, path or self.CC, text)
+        self.assertTrue(all(f[2] == "mutable-static" for f in out))
+        return [(f[1], f[3].split("`")[1]) for f in out]
+
+    def test_flags_file_static_and_function_local_static(self):
+        text = ("static int g_counter = 0;\n"
+                "\n"
+                "int Next() {\n"
+                "  static int call_count = 0;\n"
+                "  return ++call_count;\n"
+                "}\n")
+        self.assertEqual(self.names(text), [(1, "g_counter"), (4, "call_count")])
+
+    def test_flags_class_static_data_member(self):
+        text = ("class Pool {\n"
+                " private:\n"
+                "  static std::vector<std::uint64_t> free_list_;\n"
+                "};\n"
+                "std::vector<std::uint64_t> Pool::free_list_;\n")
+        self.assertEqual(self.names(text, os.path.join("src", "alloc", "x.h")),
+                         [(3, "free_list_"), (5, "Pool::free_list_")])
+
+    def test_flags_anonymous_namespace_global(self):
+        text = ("namespace {\n"
+                "std::uint64_t g_last_issue = 0;\n"
+                "std::map<int, std::function<void(int)>> g_hooks;\n"
+                "}  // namespace\n")
+        self.assertEqual(self.names(text), [(2, "g_last_issue"), (3, "g_hooks")])
+
+    def test_const_storage_and_functions_pass(self):
+        text = ("static constexpr std::uint32_t kNoZone = ~0U;\n"
+                "static const char* const kNames[] = {\"a\", \"b\"};\n"
+                "constexpr std::uint64_t kPageSize = 4'096;\n"
+                "const std::string kPrefix = \"conv\";\n"
+                "static std::uint64_t Hash(std::string_view key) { return key.size(); }\n"
+                "std::uint64_t Seed(std::uint64_t base);\n"
+                "class Thing {\n"
+                "  static Status Ok() { return Status(); }\n"
+                "  static std::function<void(int)> Make(int x);\n"
+                "};\n"
+                "int Twice(int x) { return static_cast<int>(x) * 2; }\n"
+                "static_assert(sizeof(int) == 4);\n")
+        self.assertEqual(self.names(text), [])
+
+    def test_comments_and_strings_pass(self):
+        text = ("// static int g_mentioned = 0;\n"
+                "/* static int g_block = 0;\n"
+                "int g_block_two = 0; */\n"
+                "const char* Describe() { return \"static int g_quoted = 0;\"; }\n"
+                "bool IsQuote(char c) { return c == '\"'; }\n")
+        self.assertEqual(self.names(text), [])
+
+    def test_files_outside_src_exempt(self):
+        text = "static int g_counter = 0;\nint g_global = 0;\n"
+        for path in (os.path.join("tests", "x.cc"), os.path.join("bench", "x.cc"),
+                     os.path.join("tools", "x.cc")):
+            self.assertEqual(self.names(text, path), [])
+
+
 class FormatRuleTest(unittest.TestCase):
     def test_flags_tabs_trailing_ws_long_lines(self):
         text = "\tint x;\nint y;  \n" + "z" * 101 + "\n"

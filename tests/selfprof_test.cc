@@ -1,7 +1,7 @@
 // Tests for the host-side self-profiler (src/telemetry/selfprof/): scope nesting and the
-// exclusive-time attribution identity, sharding-stats determinism, the dual-clock Chrome
-// trace schema, and the bench harness helpers that ride on the profiler (median publication,
-// wall-clock-row stripping for the repeat determinism assert).
+// exclusive-time attribution identity, GC-cycle counting, the dual-clock Chrome trace schema,
+// and the bench harness helpers that ride on the profiler (median publication, wall-clock-row
+// stripping for the repeat determinism assert).
 
 #include <cstdint>
 #include <string>
@@ -13,7 +13,6 @@
 #include "src/ftl/conventional_ssd.h"
 #include "src/telemetry/metric_registry.h"
 #include "src/telemetry/selfprof/self_profiler.h"
-#include "src/telemetry/selfprof/sharding_stats.h"
 #include "src/telemetry/telemetry.h"
 #include "src/telemetry/timeline.h"
 #include "src/util/rng.h"
@@ -235,37 +234,6 @@ TEST(SelfProfilerTest, FtlGcCountIsTheGcCycleCount) {
             registry.GetCounter("selfprof.host.wall_elapsed_ns")->value());
 }
 
-TEST(ShardingStatsTest, OccupancyAndCrossChannelDepsAreDeterministic) {
-  ShardingStats stats;
-  stats.Init(2, 4);
-  // Channel sequence 0,1,0,0: two consecutive-op channel switches, one stay.
-  stats.RecordOp(0, 0);
-  stats.RecordOp(1, 2);
-  stats.RecordOp(0, 1);
-  stats.RecordOp(0, 1);
-  EXPECT_DOUBLE_EQ(stats.CrossDepFraction(), 2.0 / 3.0);
-  // Channel 0 carried 3 of 4 events: the serial-channel bound on parallel speedup is 4/3.
-  EXPECT_DOUBLE_EQ(stats.ParallelSpeedupBound(), 4.0 / 3.0);
-
-  // Publishing is idempotent and the histograms rebuild identically each time: the snapshots
-  // must be byte-identical (the property that lets sharding rows live in BENCH_baseline.json).
-  MetricRegistry registry;
-  stats.PublishTo(registry, "dev");
-  auto render = [&registry] {
-    std::string out;
-    JsonLinesSink().Render("t", registry.Snapshot(), &out);
-    return out;
-  };
-  const std::string first = render();
-  stats.PublishTo(registry, "dev");
-  EXPECT_EQ(render(), first);
-  EXPECT_EQ(registry.GetCounter("dev.sharding.events")->value(), 4u);
-  EXPECT_EQ(registry.GetCounter("dev.sharding.cross_channel_deps")->value(), 2u);
-  EXPECT_EQ(registry.GetCounter("dev.sharding.same_channel_deps")->value(), 1u);
-  EXPECT_EQ(registry.GetHistogram("dev.sharding.channel_occupancy")->count(), 2u);
-  EXPECT_EQ(registry.GetHistogram("dev.sharding.plane_occupancy")->count(), 4u);
-}
-
 TEST(DualClockTraceTest, HostSlicesExportAsFourthProcess) {
   Telemetry telemetry;
   telemetry.timeline.Enable();
@@ -302,11 +270,11 @@ TEST(BenchHarnessTest, StripHostMetricRowsRemovesOnlyWallClockRows) {
   const std::string dump =
       "{\"metric\":\"flash.reads\",\"value\":7}\n"
       "{\"metric\":\"selfprof.host.ns_per_simulated_op\",\"value\":123.4}\n"
-      "{\"metric\":\"dev.sharding.events\",\"value\":9}\n"
+      "{\"metric\":\"dev.wear.bad_blocks\",\"value\":9}\n"
       "{\"metric\":\"selfprof.host.flash.read.count\",\"value\":7}\n";
   EXPECT_EQ(StripHostMetricRows(dump),
             "{\"metric\":\"flash.reads\",\"value\":7}\n"
-            "{\"metric\":\"dev.sharding.events\",\"value\":9}\n");
+            "{\"metric\":\"dev.wear.bad_blocks\",\"value\":9}\n");
 }
 
 TEST(BenchHarnessTest, MedianPerfSampleOverwritesDerivedGauges) {

@@ -40,6 +40,11 @@ Enforces invariants that the compiler cannot (or that we want flagged before it 
                  in src/util/rng.h so runs stay reproducible from a single seed: no rand()
                  or srand(), no std::random_device (nondeterministic hardware entropy), and
                  no raw std::mt19937/std::mt19937_64 construction outside src/util/rng.{h,cc}.
+  mutable-static src/ holds no mutable static storage: every `static` variable (file,
+                 function or class scope) is const/constexpr, and so is every variable
+                 defined at column 0 (namespace scope under the committed Google
+                 .clang-format). Mutable run state lives in objects the run constructs, so a
+                 second run in the same process (--repeat, a test binary) starts clean.
   self-contained Every header in src/ must compile on its own (include-what-you-use probe:
                  a TU containing only `#include "<header>"`).
   format         No tabs, no trailing whitespace, lines <= 100 columns, final newline.
@@ -53,6 +58,7 @@ Exits 1 if any finding is reported. Findings print as `path:line: [rule] message
 """
 
 import argparse
+import bisect
 import os
 import re
 import shutil
@@ -124,6 +130,20 @@ RNG_PATTERNS = [
     (re.compile(r"\bstd::mt19937(_64)?\b"),
      "raw std::mt19937 seeding bypasses run-seed plumbing"),
 ]
+
+# Mutable static storage: state that outlives the run that wrote it. A run's mutable state
+# lives in the objects it constructs; a mutable `static` or namespace-scope variable would
+# carry one run's leftovers into the next run in the same process and make the output
+# depend on what ran before. Column 0 is namespace scope because the committed Google
+# .clang-format indents every class member and function body.
+STATIC_RE = re.compile(r"\bstatic\b")
+CONST_QUALIFIER_RE = re.compile(r"\b(const|constexpr)\b")
+DECLARATOR_NAME_RE = re.compile(r"\S\s+[*&]*\s*((?:\w+::)*\w+)\s*(\[[^\]]*\]\s*)*$")
+# First words of column-0 statements that declare no variable (or that the `static` scan
+# covers).
+NON_VARIABLE_WORDS = frozenset((
+    "namespace", "class", "struct", "enum", "union", "using", "typedef", "template",
+    "extern", "static"))
 
 REQUEST_CONTEXT_ALLOWLIST_DIR = os.path.join("src", "telemetry", "reqpath") + os.sep
 REQUEST_CONTEXT_BYVALUE_RE = re.compile(r"\bRequestContext\s+\w+\s*[,)]")
@@ -270,6 +290,86 @@ def check_request_context(path, lines):
                    "fields instead (only src/telemetry/reqpath/ may hold one)")
 
 
+def mask_code(lines):
+    """Blanks comments and string and char literals, keeping line and column positions, so
+    the declaration scan below only sees code."""
+    text = "\n".join(lines)
+    out = []
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if text.startswith("//", i):
+            while i < n and text[i] != "\n":
+                out.append(" ")
+                i += 1
+        elif text.startswith("/*", i):
+            end = text.find("*/", i + 2)
+            end = n if end < 0 else end + 2
+            out.append("".join(ch if ch == "\n" else " " for ch in text[i:end]))
+            i = end
+        elif c == '"' or (c == "'" and not (i > 0 and text[i - 1].isalnum())):
+            # A quote right after an alphanumeric is a digit separator (10'000), not a literal.
+            out.append(c)
+            i += 1
+            while i < n and text[i] != c and text[i] != "\n":
+                out.append("  " if text[i] == "\\" else " ")
+                i += 2 if text[i] == "\\" else 1
+            if i < n:
+                out.append(text[i])
+                i += 1
+        else:
+            out.append(c)
+            i += 1
+    return "".join(out)
+
+
+def declaration_head(code, start):
+    """The text from `start` to the first `=`, `;`, `{` or `(` outside template brackets,
+    and that terminator ("" at end of input)."""
+    depth = 0
+    for i in range(start, len(code)):
+        c = code[i]
+        if c == "<":
+            depth += 1
+        elif c == ">" and depth > 0:
+            depth -= 1
+        elif depth == 0 and c in "=;{(":
+            return code[start:i], c
+    return code[start:], ""
+
+
+def mutable_variable_name(head, terminator):
+    """The declared name if `head` (ended by `terminator`) defines a mutable variable."""
+    if terminator in ("(", "") or CONST_QUALIFIER_RE.search(head):
+        return None  # A function, or const/constexpr storage.
+    m = DECLARATOR_NAME_RE.search(head)
+    return m.group(1) if m else None
+
+
+def check_mutable_static(path, lines):
+    if not path.startswith("src" + os.sep):
+        return
+    code = mask_code(lines)
+    offsets = [0]
+    for line in lines:
+        offsets.append(offsets[-1] + len(line) + 1)
+    for m in STATIC_RE.finditer(code):
+        name = mutable_variable_name(*declaration_head(code, m.end()))
+        if name:
+            yield (path, bisect.bisect_right(offsets, m.start()), "mutable-static",
+                   f"mutable static `{name}` outlives the run that writes it; make it "
+                   "const/constexpr or move it into an object the run owns")
+    for i, offset in enumerate(offsets[:-1], 1):
+        word = re.match(r"\w+", code[offset:offset + 40])
+        if not word or word.group(0) in NON_VARIABLE_WORDS:
+            continue
+        name = mutable_variable_name(*declaration_head(code, offset))
+        if name:
+            yield (path, i, "mutable-static",
+                   f"namespace-scope variable `{name}` is mutable static storage; make it "
+                   "const/constexpr or move it into an object the run owns")
+
+
 def check_format(path, lines, raw_text):
     for i, line in enumerate(lines, 1):
         if "\t" in line:
@@ -334,6 +434,7 @@ def lint_file(root, rel_path):
         findings.extend(check_digest_order(rel_path, lines))
         findings.extend(check_rng_discipline(rel_path, lines))
         findings.extend(check_request_context(rel_path, lines))
+        findings.extend(check_mutable_static(rel_path, lines))
     return findings
 
 
