@@ -13,9 +13,9 @@
 #                      # -Werror strict build
 #   ./ci.sh --suite    # tier-1 build, then the bench suite checked against BENCH_baseline.json,
 #                      # then the repository benchmark's self-test (perfbench/test_perfbench.py)
-#   ./ci.sh --perf     # Release build, self-profiled bench subset (--perf --repeat 5) gated
-#                      # against BENCH_perf_baseline.json, plus a deliberate-slowdown check
-#                      # that proves the gate can fail (see bench/run_suite.sh for tolerance)
+#   ./ci.sh --perf     # the speed gate: tools/perf_gate.py --check runs perfbench untraced on
+#                      # BENCHMARK.json's workloads against BENCH_perf_baseline.json, then a
+#                      # Debug build of perfbench must fail it on host time alone
 #
 # The sanitizer passes build the whole tree (tests and benches) into build-asan/ or
 # build-tsan/ with -fsanitize=address,undefined (resp. thread) and run the test suite under
@@ -303,11 +303,10 @@ print(f"smoke: reqpath ok ({len(exemplars)} exemplars over {len(by_op)} op class
       f"{len(slos)} SLOs, byte-identical reruns)")
 PY
 
-  echo "=== smoke: self-profiler --perf --repeat + dual-clock trace ==="
-  # The binary itself asserts SimTime-domain byte-identity across the two repeats (exit 3 on
-  # divergence — a wall-clock leak into simulation state); the python below checks the
-  # published perf schema and the host-clock process track in the Chrome trace.
-  build/bench/bench_read_latency --perf --repeat 2 --json "$smoke_dir/perf.json" \
+  echo "=== smoke: self-profiler --perf + dual-clock trace ==="
+  # One profiled run: its per-cell self_ns sum and wall_elapsed_ns come from the same run.
+  # Its SimTime-domain rows are compared with a profiler-off dump in the audit smoke below.
+  build/bench/bench_read_latency --perf --json "$smoke_dir/perf.json" \
     --trace "$smoke_dir/perf_trace.json" > /dev/null
   python3 - "$smoke_dir/perf.json" "$smoke_dir/perf_trace.json" <<'PY'
 import json, sys
@@ -318,9 +317,8 @@ with open(sys.argv[1]) as f:
         rec = json.loads(line)
         if "value" in rec:
             values[rec["metric"]] = rec["value"]
-for metric in ("wall_elapsed_ns", "total_events", "flash_events", "repeats"):
+for metric in ("wall_elapsed_ns", "total_events", "flash_events"):
     assert values.get(f"selfprof.host.{metric}", 0) > 0, f"missing selfprof.host.{metric}"
-assert values["selfprof.host.repeats"] == 2, values["selfprof.host.repeats"]
 assert values["selfprof.host.ns_per_simulated_op"] > 0, "ns_per_simulated_op not derived"
 assert values["selfprof.host.sim_speedup"] > 0, "sim_speedup not derived"
 breakdown = [m for m in values if m.startswith("selfprof.host.") and m.endswith(".self_ns")]
@@ -360,6 +358,10 @@ PY
   build/bench/bench_read_latency --json "$smoke_dir/audit_off.json" > /dev/null
   cmp "$smoke_dir/audit_a.jsonl" "$smoke_dir/audit_b.jsonl"
   cmp "$smoke_dir/audit_on.json" "$smoke_dir/audit_off.json"
+  # The self-profiler must not perturb results either: the --perf dump minus its
+  # wall-clock-domain selfprof.host.* rows equals the profiler-off dump.
+  grep -v '"metric":"selfprof\.host\.' "$smoke_dir/perf.json" > "$smoke_dir/perf_sim.json"
+  cmp "$smoke_dir/perf_sim.json" "$smoke_dir/audit_off.json"
   build/tools/digest_bisect "$smoke_dir/audit_a.jsonl" "$smoke_dir/audit_b.jsonl" > /dev/null
   python3 - "$smoke_dir/audit_a.jsonl" <<'PY'
 import json, re, sys
@@ -460,25 +462,36 @@ if [[ "$run_suite" == 1 ]]; then
 fi
 
 if [[ "$run_perf" == 1 ]]; then
-  echo "=== perf: Release build ==="
-  # Wall-clock baselines are only comparable at a fixed optimization level, so the perf
-  # stage always measures a Release tree (the default build's numbers are ~4x slower and
-  # would either trip the gate or need their own baseline).
-  cmake -B build-perf -S . -DCMAKE_BUILD_TYPE=Release
-  cmake --build build-perf -j "$jobs"
+  echo "=== perf: perfbench vs BENCH_perf_baseline.json ==="
+  python3 tools/perf_gate.py --check
 
-  echo "=== perf: self-profiled suite vs BENCH_perf_baseline.json ==="
-  BENCH_BUILD_DIR=build-perf bench/run_suite.sh --check-perf
-
-  echo "=== perf: deliberate flash-layer slowdown must trip the gate ==="
-  # Busy-wait 2000ns per flash scope — wall time only, SimTime untouched — which more than
-  # doubles ns_per_simulated_op. If the gate still passes, it isn't gating anything.
-  if BENCH_BUILD_DIR=build-perf PERF_BENCHES=bench_read_latency PERF_REPEATS=2 \
-     BLOCKHEAD_SELFPROF_SPIN_FLASH_NS=2000 bench/run_suite.sh --check-perf; then
-    echo "ci.sh: FAIL — perf gate did not catch the injected flash-layer slowdown" >&2
+  echo "=== perf: a Debug build of perfbench must fail the gate on host time alone ==="
+  # Same sources at -O0 with assertions live: every request costs several times more host
+  # time while every simulated result stays bit-identical. The gate must fail on
+  # host_ns_per_request for every workload and on nothing but host metrics: a sim_*,
+  # correctness or missing-result failure would mean it failed for the wrong reason.
+  cmake -S perfbench -B build-perf-debug/perfbench -DCMAKE_BUILD_TYPE=Debug > /dev/null
+  if CARGO_TARGET_DIR=build-perf-debug python3 tools/perf_gate.py --check \
+      | tee build-perf-debug/gate.txt; then
+    echo "ci.sh: FAIL — perf gate passed a Debug build of perfbench" >&2
     exit 1
   fi
-  echo "ci.sh: OK — injected slowdown correctly failed the perf gate"
+  python3 - BENCHMARK.json build-perf-debug/gate.txt <<'PY'
+import json, sys
+
+with open(sys.argv[1]) as f:
+    spec = json.load(f)
+host = {m["name"] for m in spec["end_to_end"] if not m["name"].startswith("sim_")}
+with open(sys.argv[2]) as f:
+    fails = [l.split()[2:4] for l in f if l.startswith("perf_gate: FAIL ")]
+wrong = [f for f in fails if len(f) < 2 or f[1] not in host]
+assert not wrong, f"Debug build failed the gate on more than host time: {wrong}"
+for w in spec["workloads"]:
+    assert [w["name"], "host_ns_per_request"] in fails, \
+        f"Debug build did not fail host_ns_per_request on {w['name']}"
+print(f"ci.sh: OK — Debug build failed the gate on {len(fails)} host metrics, "
+      "sim_* identical")
+PY
 fi
 
 if [[ "$run_asan" == 1 ]]; then

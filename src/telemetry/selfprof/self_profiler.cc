@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #if defined(__linux__)
@@ -118,8 +117,6 @@ const char* ProfOpName(ProfOp op) {
       return "dispatch";
     case ProfOp::kMaintenance:
       return "maintenance";
-    case ProfOp::kSinkRender:
-      return "sink_render";
     case ProfOp::kOther:
       return "other";
     case ProfOp::kCount:
@@ -131,13 +128,6 @@ const char* ProfOpName(ProfOp op) {
 void SelfProfiler::Enable(const SelfProfConfig& config) {
   enabled_ = true;
   config_ = config;
-  if (const char* spin = std::getenv("BLOCKHEAD_SELFPROF_SPIN_FLASH_NS")) {
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(spin, &end, 10);
-    if (end != spin) {
-      config_.spin_flash_ns = v;
-    }
-  }
   cells_.fill(ProfCell{});
   slices_.clear();
   slices_dropped_ = 0;
@@ -157,15 +147,7 @@ void SelfProfiler::Scope::Begin(SelfProfiler* prof, ProfSubsystem sub, ProfOp op
 }
 
 void SelfProfiler::Scope::End() {
-  std::uint64_t now = WallNowNs();
-  // Deliberate-slowdown hook: inflate flash-subsystem scopes in wall time only (SimTime is
-  // untouched), so the perf gate's failure path can be exercised deterministically.
-  if (sub_ == ProfSubsystem::kFlash && prof_->config_.spin_flash_ns > 0) {
-    const std::uint64_t until = start_ns_ + prof_->config_.spin_flash_ns;
-    while (now < until) {
-      now = WallNowNs();
-    }
-  }
+  const std::uint64_t now = WallNowNs();
   const std::uint64_t elapsed = now > start_ns_ ? now - start_ns_ : 0;
   ProfCell& cell = prof_->cells_[CellIndex(sub_, op_)];
   cell.count++;

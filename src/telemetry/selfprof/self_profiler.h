@@ -22,14 +22,12 @@
 //     bounded ring for the dual-clock Perfetto export (Timeline::ExportChromeTrace renders
 //     them as a fourth process, so one trace shows simulated-time slices and the real CPU
 //     cost that produced them side by side);
-//   * Sample() derives events_per_sec, ns_per_simulated_op (wall ns per flash-level event —
-//     the metric ci.sh --perf gates), sim_speedup (= sim elapsed / wall elapsed), and
-//     process memory (current/peak RSS, allocator heap bytes).
+//   * Sample() derives events_per_sec, ns_per_simulated_op (wall ns per flash-level event),
+//     sim_speedup (= sim elapsed / wall elapsed), and process memory (current/peak RSS,
+//     allocator heap bytes).
 //
-// Test hook: BLOCKHEAD_SELFPROF_SPIN_FLASH_NS=<ns> (or SelfProfConfig::spin_flash_ns) makes
-// every flash-subsystem scope busy-wait that many wall nanoseconds — SimTime is untouched,
-// so outputs stay deterministic while ns_per_simulated_op inflates. ci.sh uses it to prove
-// the perf regression gate actually fails on a deliberate slowdown.
+// The profiler attributes cost; it does not gate it. A profiled run is slower than an
+// unprofiled one, so the speed gate (ci.sh --perf) times perfbench's unprofiled requests.
 
 #ifndef BLOCKHEAD_SRC_TELEMETRY_SELFPROF_SELF_PROFILER_H_
 #define BLOCKHEAD_SRC_TELEMETRY_SELFPROF_SELF_PROFILER_H_
@@ -78,7 +76,6 @@ enum class ProfOp : std::uint8_t {
   kMigration,
   kDispatch,
   kMaintenance,
-  kSinkRender,
   kOther,
   kCount,
 };
@@ -89,15 +86,12 @@ const char* ProfOpName(ProfOp op);
 struct SelfProfConfig {
   // Scopes shorter than this are aggregated into their cell but not recorded as host-clock
   // trace slices. Per-op scopes run well under a microsecond, so the default keeps only the
-  // expensive outliers (GC cycles, compactions, sink renders) and the dual-clock trace stays
-  // megabytes, not hundreds of megabytes, on million-op benches.
+  // expensive outliers (GC cycles, compactions) and the dual-clock trace stays megabytes,
+  // not hundreds of megabytes, on million-op benches.
   std::uint64_t min_slice_ns = 50'000;
   // Host-slice ring bound; overflow evicts the oldest slice and counts it, so a saturated
   // ring holds the tail of the run.
   std::size_t max_slices = 1u << 15;
-  // Busy-wait this many wall ns in every flash-subsystem scope (0 = off). Overridden by the
-  // BLOCKHEAD_SELFPROF_SPIN_FLASH_NS environment variable; see file comment.
-  std::uint64_t spin_flash_ns = 0;
 };
 
 // Wall-time totals for one (subsystem, op) cell.
@@ -107,7 +101,7 @@ struct ProfCell {
   std::uint64_t self_ns = 0;   // Exclusive: total minus time in child scopes.
 };
 
-// Derived metrics at one sampling instant (bench_main medians these across --repeat runs).
+// Derived metrics at one sampling instant.
 struct SelfProfSample {
   std::uint64_t wall_elapsed_ns = 0;  // Enable() -> now.
   std::uint64_t total_events = 0;     // All scopes closed.
@@ -169,8 +163,7 @@ class SelfProfiler {
     ProfOp op_ = ProfOp::kOther;
   };
 
-  // Turns profiling on: zeroes all cells/slices and starts the wall-clock epoch. Reads the
-  // BLOCKHEAD_SELFPROF_SPIN_FLASH_NS environment override (see file comment).
+  // Turns profiling on: zeroes all cells/slices and starts the wall-clock epoch.
   void Enable(const SelfProfConfig& config = SelfProfConfig{});
   bool enabled() const { return enabled_; }
   const SelfProfConfig& config() const { return config_; }
@@ -219,8 +212,8 @@ class SelfProfiler {
   //   selfprof.host.<subsystem>.<op>.{count,wall_ns,self_ns}           (counters, count > 0)
   //   selfprof.host.<subsystem>.self_ns                                 (counters)
   // Everything under the "selfprof.host." prefix is wall-clock-domain and therefore excluded
-  // from determinism comparisons (bench_main strips the prefix when asserting repeat
-  // byte-identity; BENCH_baseline.json never contains these rows).
+  // from determinism comparisons (ci.sh drops them before comparing a --perf dump with a
+  // profiler-off one; BENCH_baseline.json never contains these rows).
   void PublishTo(MetricRegistry& registry) const;
 
   // The prefix that marks wall-clock-domain (nondeterministic) metrics.

@@ -1,15 +1,12 @@
 // Tests for the host-side self-profiler (src/telemetry/selfprof/): scope nesting and the
-// exclusive-time attribution identity, GC-cycle counting, the dual-clock Chrome trace schema,
-// and the bench harness helpers that ride on the profiler (median publication, wall-clock-row
-// stripping for the repeat determinism assert).
+// exclusive-time attribution identity, GC-cycle counting, and the dual-clock Chrome trace
+// schema.
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include <gtest/gtest.h>
 
-#include "bench/bench_main.h"
 #include "src/ftl/conventional_ssd.h"
 #include "src/telemetry/metric_registry.h"
 #include "src/telemetry/selfprof/self_profiler.h"
@@ -154,17 +151,6 @@ TEST(SelfProfilerTest, SampleDerivesRatesSpeedupAndMemory) {
   EXPECT_GT(s.peak_rss_bytes, 0u);  // getrusage.
 }
 
-TEST(SelfProfilerTest, SpinHookInflatesFlashScopesOnly) {
-  SelfProfiler prof;
-  SelfProfConfig config;
-  config.spin_flash_ns = 300'000;
-  prof.Enable(config);
-  { SelfProfiler::Scope s(&prof, ProfSubsystem::kFlash, ProfOp::kRead); }
-  { SelfProfiler::Scope s(&prof, ProfSubsystem::kFtl, ProfOp::kRead); }
-  EXPECT_GE(prof.cell(ProfSubsystem::kFlash, ProfOp::kRead).total_ns, 300'000u);
-  EXPECT_LT(prof.cell(ProfSubsystem::kFtl, ProfOp::kRead).total_ns, 300'000u);
-}
-
 TEST(SelfProfilerTest, SliceRingDropsOldestBeyondBound) {
   SelfProfiler prof;
   SelfProfConfig config;
@@ -264,35 +250,6 @@ TEST(DualClockTraceTest, HostSlicesExportAsFourthProcess) {
   const std::string single = telemetry.timeline.ExportChromeTrace();
   EXPECT_EQ(single.find("self-profile"), std::string::npos);
   EXPECT_EQ(single.find("\"cat\":\"selfprof\""), std::string::npos);
-}
-
-TEST(BenchHarnessTest, StripHostMetricRowsRemovesOnlyWallClockRows) {
-  const std::string dump =
-      "{\"metric\":\"flash.reads\",\"value\":7}\n"
-      "{\"metric\":\"selfprof.host.ns_per_simulated_op\",\"value\":123.4}\n"
-      "{\"metric\":\"dev.wear.bad_blocks\",\"value\":9}\n"
-      "{\"metric\":\"selfprof.host.flash.read.count\",\"value\":7}\n";
-  EXPECT_EQ(StripHostMetricRows(dump),
-            "{\"metric\":\"flash.reads\",\"value\":7}\n"
-            "{\"metric\":\"dev.wear.bad_blocks\",\"value\":9}\n");
-}
-
-TEST(BenchHarnessTest, MedianPerfSampleOverwritesDerivedGauges) {
-  MetricRegistry registry;
-  std::vector<SelfProfSample> samples(3);
-  samples[0].wall_elapsed_ns = 100;
-  samples[1].wall_elapsed_ns = 900;  // Noisy outlier the median must suppress.
-  samples[2].wall_elapsed_ns = 120;
-  for (std::size_t i = 0; i < samples.size(); ++i) {
-    samples[i].ns_per_simulated_op = static_cast<double>(samples[i].wall_elapsed_ns) / 10.0;
-    samples[i].events_per_sec = 1e9 / samples[i].ns_per_simulated_op;
-    samples[i].sim_speedup = static_cast<double>(i + 1);
-  }
-  PublishMedianPerfSample(registry, samples);
-  EXPECT_EQ(registry.GetCounter("selfprof.host.wall_elapsed_ns")->value(), 120u);
-  EXPECT_DOUBLE_EQ(registry.GetGauge("selfprof.host.ns_per_simulated_op")->value(), 12.0);
-  EXPECT_DOUBLE_EQ(registry.GetGauge("selfprof.host.sim_speedup")->value(), 2.0);
-  EXPECT_EQ(registry.GetCounter("selfprof.host.repeats")->value(), 3u);
 }
 
 }  // namespace

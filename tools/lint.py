@@ -44,7 +44,8 @@ Enforces invariants that the compiler cannot (or that we want flagged before it 
                  function or class scope) is const/constexpr, and so is every variable
                  defined at column 0 (namespace scope under the committed Google
                  .clang-format). Mutable run state lives in objects the run constructs, so a
-                 second run in the same process (--repeat, a test binary) starts clean.
+                 second run in the same process (a perfbench repetition, a test binary)
+                 starts clean.
   self-contained Every header in src/ must compile on its own (include-what-you-use probe:
                  a TU containing only `#include "<header>"`).
   format         No tabs, no trailing whitespace, lines <= 100 columns, final newline.
