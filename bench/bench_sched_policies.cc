@@ -8,9 +8,12 @@
 // latency, throughput, and forced-GC stalls per policy.
 
 #include <cstdio>
+#include <string>
 
+#include "bench/bench_main.h"
 #include "src/core/matched_pair.h"
 #include "src/hostftl/host_ftl.h"
+#include "src/telemetry/telemetry.h"
 #include "src/workload/workload.h"
 
 using namespace blockhead;
@@ -24,13 +27,17 @@ struct PolicyResult {
   std::uint64_t gc_pages = 0;
 };
 
-PolicyResult Run(GcSchedPolicy policy) {
+// Each policy's host FTL publishes under "<policy>.*" and its device under "<policy>.zns.*".
+PolicyResult Run(GcSchedPolicy policy, Telemetry* tel) {
+  const std::string prefix = GcSchedPolicyName(policy);
   MatchedConfig cfg = MatchedConfig::Bench();
   ZnsDevice dev(cfg.flash, cfg.zns);
+  dev.AttachTelemetry(tel, prefix + ".zns");
   HostFtlConfig hcfg;
   hcfg.sched.policy = policy;
   hcfg.sched.low_free_fraction = 0.12;  // Below the steady-state free fraction for 20% host OP.
   HostFtlBlockDevice ftl(&dev, hcfg);
+  ftl.AttachTelemetry(tel, prefix);
 
   auto fill = SequentialFill(ftl, 1.0, 0);
   RandomWorkloadConfig wl;
@@ -55,7 +62,9 @@ PolicyResult Run(GcSchedPolicy policy) {
 
 }  // namespace
 
-int main() {
+int RunBench(const BenchOptions& opts, Telemetry& tel) {
+  MaybeEnableTimeline(opts, tel);
+
   std::printf("=== E11: Host GC scheduling policies (block-on-ZNS, 60/40 R/W mix) ===\n");
   std::printf("Paper claim (§4.1): host-scheduled reclamation lets policy trade read tails\n"
               "against write headroom — a choice conventional SSDs make opaquely in firmware.\n\n");
@@ -65,7 +74,7 @@ int main() {
   for (const GcSchedPolicy policy :
        {GcSchedPolicy::kInline, GcSchedPolicy::kBackground, GcSchedPolicy::kReadPriority,
         GcSchedPolicy::kRateLimited}) {
-    const PolicyResult r = Run(policy);
+    const PolicyResult r = Run(policy, &tel);
     table.AddRow(
         {GcSchedPolicyName(policy),
          TablePrinter::Fmt(static_cast<double>(r.run.read_latency.Percentile(0.99)) /
@@ -85,5 +94,9 @@ int main() {
               "opportunistic policies bound worst-case stalls at the price of more relocation\n"
               "and a steady mid-tail tax. On a conventional SSD this dial does not exist --\n"
               "the device picks one policy for everyone (\u00a74.1).\n");
-  return 0;
+  return FinishBench(opts, "bench_sched_policies", tel);
+}
+
+int main(int argc, char** argv) {
+  return RunBenchMain(argc, argv, "bench_sched_policies", RunBench);
 }

@@ -56,6 +56,7 @@ benches=(
   "bench_read_latency 7"
   "bench_cache_buffers 37"
   "bench_simple_copy 13"
+  "bench_sched_policies 17"
   "bench_wa_overprovisioning 42"
   "bench_ycsb 0"
   "bench_zone_append 0"

@@ -10,10 +10,14 @@
 //   * GC copies can ride the device's simple-copy command (no host PCIe traffic, §2.3) or the
 //     plain read+write path — bench_simple_copy (E10) measures the difference;
 //   * GC *timing* is a pluggable GcScheduler policy — bench_sched_policies (E11).
+//
+// Victim choice, the free-zone pool, scheduling and cycle bookkeeping are the shared
+// ZoneReclaimer's (src/sched/zone_reclaimer.h); this layer supplies the relocation step.
 
 #ifndef BLOCKHEAD_SRC_HOSTFTL_HOST_FTL_H_
 #define BLOCKHEAD_SRC_HOSTFTL_HOST_FTL_H_
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -21,7 +25,7 @@
 
 #include "src/block/block_device.h"
 #include "src/core/strong_id.h"
-#include "src/sched/gc_scheduler.h"
+#include "src/sched/zone_reclaimer.h"
 #include "src/util/status.h"
 #include "src/util/types.h"
 #include "src/zns/zns_device.h"
@@ -46,16 +50,12 @@ struct HostFtlConfig {
   GcSchedulerConfig sched;
 };
 
-struct HostFtlStats {
+struct HostFtlStats : ZoneReclaimStats {
   std::uint64_t host_pages_written = 0;
   std::uint64_t host_pages_read = 0;
   std::uint64_t pages_trimmed = 0;
-  std::uint64_t gc_cycles = 0;
-  std::uint64_t gc_pages_copied = 0;
-  std::uint64_t zones_reclaimed = 0;
   // GC bytes that crossed the host bus (0 when simple copy is in use).
   std::uint64_t gc_host_bus_bytes = 0;
-  std::uint64_t forced_gc_stalls = 0;
 };
 
 class HostFtlBlockDevice final : public BlockDevice {
@@ -73,7 +73,6 @@ class HostFtlBlockDevice final : public BlockDevice {
   std::uint32_t block_size() const override { return device_->page_size(); }
 
   const HostFtlStats& stats() const { return stats_; }
-  const GcScheduler& scheduler() const { return scheduler_; }
 
   // Registers HostFtlStats, scheduler tallies (`<prefix>.sched.*`) and space/DRAM gauges with
   // `telemetry`, plus per-op tracing spans (`<prefix>.read` / `<prefix>.write`) around host
@@ -93,8 +92,7 @@ class HostFtlBlockDevice final : public BlockDevice {
   std::uint32_t Pump(SimTime now, bool reads_pending, std::uint32_t max_cycles = 1);
 
   // Free zones available for new data.
-  std::uint64_t FreeZones() const { return free_zones_.size(); }
-  double FreeFraction() const;
+  std::uint64_t FreeZones() const { return reclaimer_.FreeZones(); }
 
   // End-to-end write amplification: physical flash programs / host logical writes.
   double EndToEndWriteAmplification() const;
@@ -107,46 +105,45 @@ class HostFtlBlockDevice final : public BlockDevice {
   Status CheckConsistency() const;
 
  private:
-  static constexpr std::uint64_t kUnmapped = ~0ULL;
+  friend class ZoneReclaimer;  // Calls the relocation hooks below.
 
-  // Ensures the host or relocation frontier has at least one writable page.
-  Status EnsureFrontier(bool relocation, SimTime now);
+  static constexpr std::uint64_t kUnmapped = ~0ULL;
+  static constexpr std::uint32_t kNoZone = ZoneReclaimer::kNoZone;
+  // The two write frontiers: the zone receiving host writes and the one receiving GC copies.
+  enum Frontier : std::size_t { kHostWrites = 0, kGcCopies = 1 };
+
+  // Ensures the given frontier has at least one writable page.
+  Status EnsureFrontier(Frontier which);
   // Appends one logical page; returns device completion.
   Result<SimTime> AppendPage(std::uint64_t lpn, SimTime issue,
                              std::span<const std::uint8_t> data);
-  // One incremental reclamation step (up to max_pages relocated); finalizes the victim (zone
-  // reset) once drained. Returns completion time or error if nothing is reclaimable.
-  Result<SimTime> GcStep(SimTime now, bool critical, std::uint32_t max_pages);
-  Result<SimTime> GcRunToCompletion(SimTime now, bool critical);
   void InvalidatePage(std::uint64_t lpn, SimTime now);
-  bool DevicePageLive(std::uint64_t dev_lba) const;
-  std::uint32_t PickVictim(bool critical) const;
   void PublishMetrics();
+
+  // ZoneReclaimer hooks: a step scans the victim's device pages in order and relocates each
+  // contiguous live run in one ranged copy.
+  std::span<const std::uint32_t> ReclaimFrontiers(SimTime) const { return frontier_; }
+  void BeginVictim(std::uint32_t) { gc_offset_ = 0; }
+  Result<SimTime> RelocateStep(std::uint32_t victim, SimTime now, std::uint32_t max_pages);
+  bool VictimDrained() const {
+    return gc_offset_ >= device_->zone(ZoneId{reclaimer_.victim()}).capacity_pages;
+  }
+  Result<SimTime> BeforeVictimReset(SimTime now) const { return now; }
 
   ZnsDevice* device_;
   HostFtlConfig config_;
-  GcScheduler scheduler_;
+  HostFtlStats stats_;
 
-  std::uint64_t logical_pages_ = 0;
   std::uint64_t zone_pages_ = 0;
-
+  std::uint64_t logical_pages_ = 0;
   std::vector<std::uint64_t> l2p_;  // Logical page -> device LBA.
   std::vector<std::uint64_t> d2l_;  // Device LBA -> logical page.
-  std::vector<std::uint32_t> zone_live_; // Live pages per zone.
-  std::vector<std::uint32_t> free_zones_;
-  static constexpr std::uint32_t kNoZone = ~0U;
-  std::uint32_t host_zone_ = kNoZone;   // Current zone receiving host writes.
-  std::uint32_t reloc_zone_ = kNoZone;  // Current zone receiving GC copies.
-  // Incremental-reclamation state: the victim being drained and the scan position within it.
-  std::uint32_t gc_victim_ = kNoZone;
-  std::uint64_t gc_offset_ = 0;
-  // stats_.gc_pages_copied at victim selection (per-cycle copy count for the kGcCycle event).
-  std::uint64_t gc_cycle_copied_base_ = 0;
+  ZoneReclaimer reclaimer_;
+  std::array<std::uint32_t, 2> frontier_{kNoZone, kNoZone};  // Indexed by Frontier.
+  std::uint64_t gc_offset_ = 0;  // Scan position within the victim being drained.
 
-  HostFtlStats stats_;
   Telemetry* telemetry_ = nullptr;
   std::string metric_prefix_;
-  int sampler_group_ = -1;  // Timeline group for free-space / WA gauges.
   // Span names interned at attach time, so host I/O opens spans without building strings.
   RequestPathLedger::SpanName* read_span_ = nullptr;
   RequestPathLedger::SpanName* write_span_ = nullptr;
@@ -155,7 +152,7 @@ class HostFtlBlockDevice final : public BlockDevice {
   Bytes* provenance_ingress_ = nullptr;
 
   // State-digest audit of the host-side mapping ("<prefix>.l2p"): one entry per mapped
-  // logical page hashing (lpn, device LBA). d2l_/zone_live_ are derived state.
+  // logical page hashing (lpn, device LBA). d2l_ and the live counts are derived state.
   SubsystemDigest* audit_l2p_ = nullptr;
   static std::uint64_t L2pEntryHash(std::uint64_t lpn, std::uint64_t dev_lba) {
     return AuditHashWords({lpn, dev_lba});

@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <limits>
 
+#include "src/util/byte_codec.h"
+
 namespace blockhead {
 
 namespace {
@@ -16,62 +18,10 @@ constexpr std::uint8_t kWalValue = 1;
 constexpr std::uint8_t kWalTombstone = 2;
 constexpr const char* kManifestName = "MANIFEST";
 
-void PutU16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-}
-void PutU32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-void PutU64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
 void PutString(std::vector<std::uint8_t>& out, std::string_view s) {
   PutU16(out, static_cast<std::uint16_t>(s.size()));
   out.insert(out.end(), s.begin(), s.end());
 }
-
-class ByteReader {
- public:
-  explicit ByteReader(std::span<const std::uint8_t> data) : data_(data) {}
-  bool ok() const { return ok_; }
-  std::size_t remaining() const { return data_.size() - pos_; }
-  std::uint8_t U8() { return static_cast<std::uint8_t>(Raw(1)); }
-  std::uint16_t U16() { return static_cast<std::uint16_t>(Raw(2)); }
-  std::uint32_t U32() { return static_cast<std::uint32_t>(Raw(4)); }
-  std::uint64_t U64() { return Raw(8); }
-  std::string Str() {
-    const std::uint16_t len = U16();
-    if (!ok_ || remaining() < len) {
-      ok_ = false;
-      return {};
-    }
-    std::string s(reinterpret_cast<const char*>(data_.data() + pos_), len);
-    pos_ += len;
-    return s;
-  }
-
- private:
-  std::uint64_t Raw(int n) {
-    if (!ok_ || remaining() < static_cast<std::size_t>(n)) {
-      ok_ = false;
-      return 0;
-    }
-    std::uint64_t v = 0;
-    for (int i = 0; i < n; ++i) {
-      v |= static_cast<std::uint64_t>(data_[pos_ + i]) << (8 * i);
-    }
-    pos_ += static_cast<std::size_t>(n);
-    return v;
-  }
-  std::span<const std::uint8_t> data_;
-  std::size_t pos_ = 0;
-  bool ok_ = true;
-};
 
 }  // namespace
 
@@ -229,10 +179,7 @@ Status KvStore::RecoverManifest(SimTime now) {
   }
   std::size_t pos = 0;
   while (pos + 4 <= bytes.size()) {
-    std::uint32_t len = 0;
-    for (int i = 0; i < 4; ++i) {
-      len |= static_cast<std::uint32_t>(bytes[pos + i]) << (8 * i);
-    }
+    const std::uint32_t len = ByteReader(std::span<const std::uint8_t>(&bytes[pos], 4)).U32();
     pos += 4;
     if (pos + len > bytes.size()) {
       break;  // Torn tail record.
@@ -245,8 +192,8 @@ Status KvStore::RecoverManifest(SimTime now) {
       meta.level = rec.U8();
       meta.file_number = rec.U32();
       meta.bytes = rec.U64();
-      meta.smallest = rec.Str();
-      meta.largest = rec.Str();
+      meta.smallest = rec.String(rec.U16());
+      meta.largest = rec.String(rec.U16());
       if (!rec.ok() || meta.level >= config_.max_levels) {
         return Status(ErrorCode::kCorruption, "bad manifest add record");
       }
@@ -312,8 +259,8 @@ Status KvStore::RecoverWal(SimTime now) {
     if (type != kWalValue && type != kWalTombstone) {
       break;  // Zero padding from a page-aligned sync, or torn tail.
     }
-    const std::string key = reader.Str();
-    const std::string value = type == kWalValue ? reader.Str() : std::string();
+    const std::string key = reader.String(reader.U16());
+    const std::string value = type == kWalValue ? reader.String(reader.U16()) : std::string();
     if (!reader.ok()) {
       break;
     }

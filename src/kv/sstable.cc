@@ -4,27 +4,14 @@
 #include <cassert>
 #include <cstring>
 
+#include "src/util/byte_codec.h"
+
 namespace blockhead {
 
 namespace {
 
 constexpr std::uint64_t kTableMagic = 0x31424154534E5A42ULL;  // "BZNSTAB1"
 constexpr std::size_t kFooterBytes = 48;
-
-void PutU16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-}
-void PutU32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-void PutU64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
 
 std::uint64_t GetU64(const std::uint8_t* p) {
   std::uint64_t v = 0;

@@ -1,4 +1,5 @@
-// Deterministic discrete-event queue used by the closed/open-loop workload drivers.
+// Deterministic discrete-event queue, used by the multi-tenant zone-budget simulation
+// (src/alloc/zone_budget.cc) and the E7 writer model (bench/bench_zone_append.cc).
 //
 // Events at equal times are popped in insertion order (a monotonically increasing sequence
 // number breaks ties), which keeps multi-actor simulations reproducible.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <utility>
 
 namespace blockhead {
 
@@ -67,6 +68,7 @@ ZnsDevice::ZnsDevice(const FlashConfig& flash_config, const ZnsConfig& zns_confi
       zone.units.push_back(unit);
     }
     zone.capacity_pages = zone_size_pages_;
+    zone.inflight.assign(config_.zone_write_buffer_pages, 0);
   }
 }
 
@@ -240,12 +242,14 @@ SimTime ZnsDevice::BufferAck(Zone& z, std::uint32_t pages, SimTime data_in,
   if (config_.zone_write_buffer_pages == 0) {
     return program_done;  // Unbuffered: the command completes with the cell program.
   }
+  // Each page takes a buffer slot; once all are taken it waits for the oldest to drain.
   SimTime ack = data_in;
   for (std::uint32_t i = 0; i < pages; ++i) {
-    z.inflight.push_back(program_done);
-    if (z.inflight.size() > config_.zone_write_buffer_pages) {
-      ack = std::max(ack, z.inflight.front());
-      z.inflight.pop_front();
+    if (z.inflight_count < z.inflight.size()) {
+      z.inflight[z.inflight_count++] = program_done;
+    } else {
+      ack = std::max(ack, std::exchange(z.inflight[z.inflight_oldest], program_done));
+      z.inflight_oldest = (z.inflight_oldest + 1) % z.inflight_count;
     }
   }
   return ack;
@@ -544,7 +548,8 @@ Result<SimTime> ZnsDevice::ResetZone(ZoneId zone_id, SimTime issue) {
   z.write_pointer = 0;
   z.programmed_pages = 0;
   z.write_serial_point = 0;
-  z.inflight.clear();
+  z.inflight_count = 0;
+  z.inflight_oldest = 0;
   z.state = z.units.empty() ? ZoneState::kOffline : ZoneState::kEmpty;
   if (audit) {
     audit_zones_->Replace(done_all, pre, ZoneEntryHash(z));

@@ -20,7 +20,6 @@
 #define BLOCKHEAD_SRC_ZNS_ZNS_DEVICE_H_
 
 #include <cstdint>
-#include <deque>
 #include <span>
 #include <vector>
 
@@ -180,8 +179,11 @@ class ZnsDevice {
     // Acknowledgement of the last regular Write plus sync overhead; the next Write cannot be
     // *issued* before this (host-side write-pointer serialization).
     SimTime write_serial_point = 0;
-    // Outstanding buffered program completions (device write buffer occupancy model).
-    std::deque<SimTime> inflight;
+    // Buffered program completions (write-buffer occupancy): a ring of zone_write_buffer_pages
+    // slots, filled in order after a reset, then overwritten oldest first.
+    std::vector<SimTime> inflight;
+    std::uint32_t inflight_count = 0;   // Slots filled since the last reset.
+    std::uint32_t inflight_oldest = 0;  // Slot of the oldest completion once the ring is full.
   };
 
   // Maps a zone-relative page offset to its physical address.

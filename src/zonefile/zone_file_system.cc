@@ -3,7 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
-#include <limits>
+
+#include "src/util/byte_codec.h"
 
 namespace blockhead {
 
@@ -16,64 +17,6 @@ constexpr std::uint8_t kRecCheckpoint = 3;
 constexpr std::uint8_t kRecBatch = 4;  // Concatenated (type u8 | len u32 | payload) records.
 // magic(4) + type(1) + seq(8) + total(4) + part(2) + parts(2) + payload_len(4)
 constexpr std::uint32_t kMetaHeaderBytes = 25;
-
-void PutU8(std::vector<std::uint8_t>& out, std::uint8_t v) { out.push_back(v); }
-void PutU16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-}
-void PutU32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-void PutU64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-// Bounds-checked little-endian reader.
-class Cursor {
- public:
-  explicit Cursor(std::span<const std::uint8_t> data) : data_(data) {}
-
-  bool ok() const { return ok_; }
-  std::size_t remaining() const { return data_.size() - pos_; }
-
-  std::uint8_t U8() { return static_cast<std::uint8_t>(Bytes(1)); }
-  std::uint16_t U16() { return static_cast<std::uint16_t>(Bytes(2)); }
-  std::uint32_t U32() { return static_cast<std::uint32_t>(Bytes(4)); }
-  std::uint64_t U64() { return Bytes(8); }
-
-  std::string String(std::size_t len) {
-    if (!ok_ || remaining() < len) {
-      ok_ = false;
-      return {};
-    }
-    std::string s(reinterpret_cast<const char*>(data_.data() + pos_), len);
-    pos_ += len;
-    return s;
-  }
-
- private:
-  std::uint64_t Bytes(int n) {
-    if (!ok_ || remaining() < static_cast<std::size_t>(n)) {
-      ok_ = false;
-      return 0;
-    }
-    std::uint64_t v = 0;
-    for (int i = 0; i < n; ++i) {
-      v |= static_cast<std::uint64_t>(data_[pos_ + i]) << (8 * i);
-    }
-    pos_ += static_cast<std::size_t>(n);
-    return v;
-  }
-
-  std::span<const std::uint8_t> data_;
-  std::size_t pos_ = 0;
-  bool ok_ = true;
-};
 
 }  // namespace
 
@@ -96,11 +39,14 @@ const char* LifetimeName(Lifetime hint) {
 ZoneFileSystem::ZoneFileSystem(ZnsDevice* device, const ZoneFileConfig& config)
     : device_(device),
       config_(config),
-      scheduler_(config.sched),
+      reclaimer_(device, kFirstDataZone, config.gc_max_live_fraction, config.gc_step_pages,
+                 config.sched,
+                 ReclaimAttribution{ProfSubsystem::kZoneFile, ProfOp::kCompaction,
+                                    WriteCause::kZoneCompaction, StackLayer::kZoneFs},
+                 &stats_),
       page_size_(device->page_size()),
       zone_pages_(device->zone_size_pages()),
-      frontier_(kLifetimeClasses, kNoZone),
-      zone_live_pages_(device->num_zones(), 0) {}
+      frontier_(kLifetimeClasses, kNoZone) {}
 
 Result<std::unique_ptr<ZoneFileSystem>> ZoneFileSystem::Format(ZnsDevice* device,
                                                                const ZoneFileConfig& config,
@@ -118,7 +64,7 @@ Result<std::unique_ptr<ZoneFileSystem>> ZoneFileSystem::Format(ZnsDevice* device
   }
   for (std::uint32_t z = device->num_zones(); z > kFirstDataZone; --z) {
     if (device->zone(ZoneId{z - 1}).state == ZoneState::kEmpty) {
-      fs->free_zones_.push_back(z - 1);
+      fs->reclaimer_.PushFree(ZoneId{z - 1});
     }
   }
   // Initial empty checkpoint so Mount always finds one.
@@ -146,52 +92,23 @@ const ZoneFileSystem::FileMeta* ZoneFileSystem::Find(std::string_view name) cons
   return &files_.at(it->second);
 }
 
-double ZoneFileSystem::FreeFraction() const {
-  const std::uint32_t data_zones = device_->num_zones() - kFirstDataZone;
-  return static_cast<double>(free_zones_.size()) / static_cast<double>(data_zones);
-}
-
-bool ZoneFileSystem::IsFrontier(std::uint32_t zone_index) const {
-  return std::find(frontier_.begin(), frontier_.end(), zone_index) != frontier_.end();
-}
-
 Result<std::uint32_t> ZoneFileSystem::AllocateZone(SimTime now) {
   // Mandatory compaction when free zones are critically low (not while already compacting:
   // the spare reserve guarantees relocation targets).
-  if (!in_gc_ && scheduler_.Critical(FreeFraction())) {
-    SimTime t = now;
-    while (scheduler_.Critical(FreeFraction())) {
-      Result<SimTime> done = GcRunToCompletion(t, /*critical=*/true);
-      if (!done.ok()) {
-        break;
-      }
-      t = done.value();
-    }
+  reclaimer_.ForceReclaim(*this, now);
+  const std::uint32_t zone = reclaimer_.PopFree();
+  if (zone == kNoZone) {
+    return Status(ErrorCode::kNoFreeBlocks, "zonefile out of free zones");
   }
-  while (!free_zones_.empty()) {
-    const std::uint32_t z = free_zones_.back();
-    free_zones_.pop_back();
-    const ZoneDescriptor d = device_->zone(ZoneId{z});
-    if (d.state == ZoneState::kEmpty && d.capacity_pages > 0) {
-      return z;
-    }
-  }
-  return Status(ErrorCode::kNoFreeBlocks, "zonefile out of free zones");
+  return zone;
 }
 
 Result<std::uint32_t> ZoneFileSystem::FrontierFor(Lifetime hint, SimTime now) {
   const std::size_t idx = static_cast<std::size_t>(hint);
-  auto writable = [this](std::uint32_t zone_index) {
-    const ZoneDescriptor d = device_->zone(ZoneId{zone_index});
-    return d.state != ZoneState::kFull && d.state != ZoneState::kOffline &&
-           d.write_pointer < d.capacity_pages;
-  };
-  if (frontier_[idx] != kNoZone) {
-    if (writable(frontier_[idx])) {
-      return frontier_[idx];
-    }
-    frontier_[idx] = kNoZone;
+  if (reclaimer_.Writable(frontier_[idx])) {
+    return frontier_[idx];
   }
+  frontier_[idx] = kNoZone;
   Result<std::uint32_t> z = AllocateZone(now);
   if (!z.ok()) {
     return z;
@@ -199,8 +116,8 @@ Result<std::uint32_t> ZoneFileSystem::FrontierFor(Lifetime hint, SimTime now) {
   // AllocateZone may have run forced compaction, whose relocation path can itself install a
   // frontier for this class. Never overwrite a writable slot (that would orphan an open,
   // partially-written zone); hand the surplus zone back instead.
-  if (frontier_[idx] != kNoZone && writable(frontier_[idx])) {
-    free_zones_.push_back(z.value());
+  if (reclaimer_.Writable(frontier_[idx])) {
+    reclaimer_.PushFree(ZoneId{z.value()});
     return frontier_[idx];
   }
   frontier_[idx] = z.value();
@@ -243,7 +160,7 @@ Result<SimTime> ZoneFileSystem::FlushTailPage(FileMeta& file, SimTime now, bool 
       const std::uint64_t pre = audit ? ExtentEntryHash(file.id, last) : 0;
       last.pages += 1;
       last.bytes += bytes;
-      zone_live_pages_[zone]++;
+      reclaimer_.AddLive(ZoneId{zone}, 1);
       stats_.data_pages_flushed++;
       if (audit) {
         audit_files_->Replace(done.value(), pre, ExtentEntryHash(file.id, last));
@@ -252,7 +169,7 @@ Result<SimTime> ZoneFileSystem::FlushTailPage(FileMeta& file, SimTime now, bool 
     }
   }
   file.extents.push_back(Extent{dev_lba, 1, bytes});
-  zone_live_pages_[zone]++;
+  reclaimer_.AddLive(ZoneId{zone}, 1);
   stats_.data_pages_flushed++;
   if (audit) {
     audit_files_->Insert(done.value(), ExtentEntryHash(file.id, file.extents.back()));
@@ -317,7 +234,7 @@ Result<SimTime> ZoneFileSystem::Append(std::string_view name,
     }
   }
   if (telemetry_ != nullptr) {
-    telemetry_->timeline.AdvanceGroup(sampler_group_, done);
+    telemetry_->timeline.AdvanceGroup(reclaimer_.sampler_group(), done);
   }
   span.End(done);
   return done;
@@ -375,7 +292,7 @@ Result<SimTime> ZoneFileSystem::Read(std::string_view name, std::uint64_t offset
     std::memcpy(out.data() + out_pos, file->tail.data() + cur, chunk);
   }
   if (telemetry_ != nullptr) {
-    telemetry_->timeline.AdvanceGroup(sampler_group_, done_all);
+    telemetry_->timeline.AdvanceGroup(reclaimer_.sampler_group(), done_all);
   }
   span.End(done_all);
   return done_all;
@@ -435,9 +352,8 @@ Result<SimTime> ZoneFileSystem::Delete(std::string_view name, SimTime now) {
   }
   const bool audit = audit_files_ != nullptr && audit_files_->armed();
   for (const Extent& ext : file->extents) {
-    const std::uint32_t zone = static_cast<std::uint32_t>(ext.dev_lba / zone_pages_);
-    assert(zone_live_pages_[zone] >= ext.pages);
-    zone_live_pages_[zone] -= ext.pages;
+    reclaimer_.RemoveLive(ZoneId{static_cast<std::uint32_t>(ext.dev_lba / zone_pages_)},
+                          ext.pages);
     if (audit) {
       audit_files_->Remove(now, ExtentEntryHash(file->id, ext));
     }
@@ -485,42 +401,11 @@ std::vector<std::string> ZoneFileSystem::ListFiles() const {
   return out;
 }
 
-std::uint32_t ZoneFileSystem::PickVictim(bool critical) const {
-  std::uint32_t best = kNoZone;
-  std::uint32_t best_live = std::numeric_limits<std::uint32_t>::max();
-  for (std::uint32_t z = kFirstDataZone; z < device_->num_zones(); ++z) {
-    if (IsFrontier(z)) {
-      continue;
-    }
-    const ZoneDescriptor d = device_->zone(ZoneId{z});
-    if (d.state != ZoneState::kFull) {
-      continue;
-    }
-    if (zone_live_pages_[z] >= d.capacity_pages) {
-      continue;  // Fully live: compacting it reclaims nothing.
-    }
-    if (!critical &&
-        static_cast<double>(zone_live_pages_[z]) >
-            config_.gc_max_live_fraction * static_cast<double>(d.capacity_pages)) {
-      continue;  // Too live for opportunistic compaction to pay off.
-    }
-    if (zone_live_pages_[z] < best_live) {
-      best_live = zone_live_pages_[z];
-      best = z;
-    }
-  }
-  return best;
-}
-
-Status ZoneFileSystem::StartGcVictim(SimTime now, bool critical) {
+std::span<const std::uint32_t> ZoneFileSystem::ReclaimFrontiers(SimTime now) {
   // Frontier slots are cleared lazily on the write path; do it here too so sealed zones are
   // eligible victims even when their lifetime class has gone quiet.
   for (std::uint32_t& frontier : frontier_) {
-    if (frontier == kNoZone) {
-      continue;
-    }
-    const ZoneState s = device_->zone(ZoneId{frontier}).state;
-    if (s == ZoneState::kFull || s == ZoneState::kOffline) {
+    if (!reclaimer_.Writable(frontier)) {
       frontier = kNoZone;
     }
   }
@@ -530,26 +415,17 @@ Status ZoneFileSystem::StartGcVictim(SimTime now, bool critical) {
     const ZoneState s = device_->zone(ZoneId{z}).state;
     if ((s == ZoneState::kImplicitOpen || s == ZoneState::kExplicitOpen ||
          s == ZoneState::kClosed) &&
-        !IsFrontier(z)) {
+        std::find(frontier_.begin(), frontier_.end(), z) == frontier_.end()) {
       (void)device_->FinishZone(ZoneId{z}, now);
     }
   }
-  const std::uint32_t victim = PickVictim(critical);
-  if (victim == kNoZone) {
-    return Status(ErrorCode::kNoFreeBlocks, "no reclaimable zone");
-  }
-  gc_.victim = victim;
+  return frontier_;
+}
+
+void ZoneFileSystem::BeginVictim(std::uint32_t victim) {
   gc_.items.clear();
   gc_.next = 0;
   gc_.touched_files.clear();
-  if (telemetry_ != nullptr) {
-    gc_cycle_copied_base_ = stats_.gc_pages_copied;
-    telemetry_->events.Append(now, TimelineEventType::kGcVictim, metric_prefix_,
-                              "victim zone " + std::to_string(victim) + " live " +
-                                  std::to_string(zone_live_pages_[victim]) +
-                                  (critical ? " critical" : ""),
-                              victim, zone_live_pages_[victim]);
-  }
   const ZoneDescriptor vd = device_->zone(ZoneId{victim});
   for (const auto& [id, file] : files_) {
     for (const Extent& ext : file.extents) {
@@ -559,24 +435,13 @@ Status ZoneFileSystem::StartGcVictim(SimTime now, bool critical) {
       }
     }
   }
-  return Status::Ok();
 }
 
-Result<SimTime> ZoneFileSystem::GcStep(SimTime now, bool critical, std::uint32_t max_pages) {
-  SelfProfiler::Scope prof_scope(ProfilerOf(telemetry_),
-                                 ProfSubsystem::kZoneFile, ProfOp::kCompaction);
-  // Relocation writes, the compaction batch journal, and the victim reset are filesystem
-  // zone-compaction work, not application data.
-  WriteProvenance::CauseScope cause(ProvenanceOf(telemetry_), WriteCause::kZoneCompaction,
-                                    StackLayer::kZoneFs);
-  if (gc_.victim == kNoZone) {
-    BLOCKHEAD_RETURN_IF_ERROR(StartGcVictim(now, critical));
-  }
-  in_gc_ = true;
+Result<SimTime> ZoneFileSystem::RelocateStep(std::uint32_t /*victim*/, SimTime now,
+                                             std::uint32_t max_pages) {
   SimTime t = now;
   std::uint32_t budget = max_pages;
-  const std::uint64_t copied_before_step = stats_.gc_pages_copied;
-  std::vector<std::uint8_t> page(page_size_);
+  std::vector<std::uint8_t> page;  // Host-copy bounce buffer, sized on first use.
 
   while (budget > 0 && gc_.next < gc_.items.size()) {
     GcWorkItem& item = gc_.items[gc_.next];
@@ -600,7 +465,6 @@ Result<SimTime> ZoneFileSystem::GcStep(SimTime now, bool critical, std::uint32_t
 
     Result<std::uint32_t> fz = FrontierFor(file.hint, t);
     if (!fz.ok()) {
-      in_gc_ = false;
       return fz.status();
     }
     const std::uint32_t dst_zone = fz.value();
@@ -614,21 +478,19 @@ Result<SimTime> ZoneFileSystem::GcStep(SimTime now, bool critical, std::uint32_t
       Result<SimTime> done =
           device_->SimpleCopy(std::span<const CopyRange>(&range, 1), ZoneId{dst_zone}, t);
       if (!done.ok()) {
-        in_gc_ = false;
         return done;
       }
       t = std::max(t, done.value());
     } else {
+      page.resize(page_size_);
       for (std::uint32_t p = 0; p < chunk; ++p) {
         Result<SimTime> r = device_->Read(Lba{src_lba + p}, 1, t, page);
         if (!r.ok()) {
-          in_gc_ = false;
           return r;
         }
         const ZoneDescriptor cur = device_->zone(ZoneId{dst_zone});
         Result<SimTime> w = device_->Write(ZoneId{dst_zone}, cur.write_pointer, 1, r.value(), page);
         if (!w.ok()) {
-          in_gc_ = false;
           return w;
         }
         t = std::max(t, w.value());
@@ -651,9 +513,7 @@ Result<SimTime> ZoneFileSystem::GcStep(SimTime now, bool critical, std::uint32_t
     if (audit) {
       audit_files_->Replace(t, pre, ExtentEntryHash(file.id, file.extents[idx]));
     }
-    zone_live_pages_[dst_zone] += chunk;
-    zone_live_pages_[gc_.victim] -= chunk;
-    stats_.gc_pages_copied += chunk;
+    reclaimer_.NoteRelocated(ZoneId{dst_zone}, chunk);
     budget -= chunk;
     if (std::find(gc_.touched_files.begin(), gc_.touched_files.end(), item.file_id) ==
         gc_.touched_files.end()) {
@@ -667,85 +527,30 @@ Result<SimTime> ZoneFileSystem::GcStep(SimTime now, bool critical, std::uint32_t
       item.bytes -= chunk_bytes;
     }
   }
-
-  if (telemetry_ != nullptr && stats_.gc_pages_copied > copied_before_step) {
-    telemetry_->timeline.RecordMaintenance(metric_prefix_ + ".gc", "gc_step", now, t);
-  }
-
-  if (gc_.next < gc_.items.size()) {
-    in_gc_ = false;
-    return t;  // More steps needed; the victim resumes on the next call.
-  }
-
-  // Victim drained: journal the rewritten extent maps (one batched blob) before destroying
-  // the old copies, then reset.
-  assert(zone_live_pages_[gc_.victim] == 0);
-  if (!gc_.touched_files.empty()) {
-    std::vector<std::uint8_t> batch;
-    for (const std::uint32_t id : gc_.touched_files) {
-      auto it = files_.find(id);
-      if (it == files_.end()) {
-        continue;
-      }
-      const std::vector<std::uint8_t> rec = SerializeFileRecord(it->second);
-      PutU8(batch, kRecFile);
-      PutU32(batch, static_cast<std::uint32_t>(rec.size()));
-      batch.insert(batch.end(), rec.begin(), rec.end());
-    }
-    Result<SimTime> logged = WriteMetaBlob(kRecBatch, batch, t);
-    if (!logged.ok()) {
-      in_gc_ = false;
-      return logged;
-    }
-    t = logged.value();
-  }
-  Result<SimTime> reset = device_->ResetZone(ZoneId{gc_.victim}, t);
-  if (!reset.ok()) {
-    in_gc_ = false;
-    return reset;
-  }
-  t = reset.value();
-  if (device_->zone(ZoneId{gc_.victim}).state != ZoneState::kOffline) {
-    free_zones_.push_back(gc_.victim);
-  }
-  stats_.gc_cycles++;
-  stats_.zones_reclaimed++;
-  scheduler_.NoteRun(now);
-  if (telemetry_ != nullptr) {
-    telemetry_->events.Append(
-        t, TimelineEventType::kGcCycle, metric_prefix_,
-        "cycle done zone " + std::to_string(gc_.victim) + " copied " +
-            std::to_string(stats_.gc_pages_copied - gc_cycle_copied_base_),
-        gc_.victim, stats_.gc_pages_copied - gc_cycle_copied_base_);
-    telemetry_->timeline.AdvanceGroup(sampler_group_, t);
-  }
-  gc_.victim = kNoZone;
-  gc_.items.clear();
-  gc_.touched_files.clear();
-  in_gc_ = false;
   return t;
 }
 
-Result<SimTime> ZoneFileSystem::GcRunToCompletion(SimTime now, bool critical) {
-  return GcStep(now, critical, std::numeric_limits<std::uint32_t>::max());
+Result<SimTime> ZoneFileSystem::BeforeVictimReset(SimTime now) {
+  // Journal the rewritten extent maps (one batched blob) before the old copies are destroyed.
+  if (gc_.touched_files.empty()) {
+    return now;
+  }
+  std::vector<std::uint8_t> batch;
+  for (const std::uint32_t id : gc_.touched_files) {
+    auto it = files_.find(id);
+    if (it == files_.end()) {
+      continue;
+    }
+    const std::vector<std::uint8_t> rec = SerializeFileRecord(it->second);
+    PutU8(batch, kRecFile);
+    PutU32(batch, static_cast<std::uint32_t>(rec.size()));
+    batch.insert(batch.end(), rec.begin(), rec.end());
+  }
+  return WriteMetaBlob(kRecBatch, batch, now);
 }
 
 std::uint32_t ZoneFileSystem::Pump(SimTime now, bool reads_pending, std::uint32_t max_cycles) {
-  std::uint32_t ran = 0;
-  while (ran < max_cycles) {
-    const bool pending = gc_.victim != kNoZone;
-    if (!pending && !scheduler_.ShouldRun(FreeFraction(), reads_pending, now)) {
-      break;
-    }
-    Result<SimTime> done =
-        GcStep(now, scheduler_.Critical(FreeFraction()), config_.gc_step_pages);
-    if (!done.ok()) {
-      break;
-    }
-    now = done.value();
-    ++ran;
-  }
-  return ran;
+  return reclaimer_.Pump(*this, now, reads_pending, max_cycles);
 }
 
 ZoneFileSystem::~ZoneFileSystem() { AttachTelemetry(nullptr); }
@@ -755,8 +560,7 @@ void ZoneFileSystem::AttachTelemetry(Telemetry* telemetry, std::string_view pref
     PublishMetrics();
     telemetry_->registry.RemoveProvider(metric_prefix_);
     telemetry_->timeline.RemoveSamplerGroup(metric_prefix_);
-    scheduler_.AttachEvents(nullptr, "");
-    sampler_group_ = -1;
+    reclaimer_.AttachTelemetry(nullptr, "");
   }
   telemetry_ = telemetry;
   metric_prefix_ = std::string(prefix);
@@ -772,12 +576,9 @@ void ZoneFileSystem::AttachTelemetry(Telemetry* telemetry, std::string_view pref
   telemetry_->registry.AddProvider(metric_prefix_, [this] { PublishMetrics(); });
   audit_files_ = telemetry_->audit.Register(metric_prefix_ + ".extents");
   provenance_ingress_ = telemetry_->provenance.RegisterDomain(metric_prefix_);
-  scheduler_.AttachEvents(&telemetry_->events, metric_prefix_ + ".sched");
-  sampler_group_ = telemetry_->timeline.AddSamplerGroup(metric_prefix_);
-  telemetry_->timeline.AddSampler(sampler_group_, metric_prefix_ + ".free_fraction",
-                                  Timeline::SampleKind::kInstant,
-                                  [this](SimTime) { return FreeFraction(); });
-  telemetry_->timeline.AddSampler(sampler_group_, metric_prefix_ + ".write_amplification",
+  reclaimer_.AttachTelemetry(telemetry_, metric_prefix_);
+  telemetry_->timeline.AddSampler(reclaimer_.sampler_group(),
+                                  metric_prefix_ + ".write_amplification",
                                   Timeline::SampleKind::kInstant,
                                   [this](SimTime) { return EndToEndWriteAmplification(); });
 }
@@ -792,17 +593,7 @@ void ZoneFileSystem::PublishMetrics() {
   reg.GetCounter(p + ".checkpoints")->Set(stats_.checkpoints);
   reg.GetCounter(p + ".files_created")->Set(stats_.files_created);
   reg.GetCounter(p + ".files_deleted")->Set(stats_.files_deleted);
-  reg.GetCounter(p + ".gc.cycles")->Set(stats_.gc_cycles);
-  reg.GetCounter(p + ".gc.pages_copied")->Set(stats_.gc_pages_copied);
-  reg.GetCounter(p + ".gc.zones_reclaimed")->Set(stats_.zones_reclaimed);
-  const GcSchedStats& sched = scheduler_.stats();
-  reg.GetCounter(p + ".sched.decisions")->Set(sched.decisions);
-  reg.GetCounter(p + ".sched.allowed")->Set(sched.allowed);
-  reg.GetCounter(p + ".sched.critical_overrides")->Set(sched.critical_overrides);
-  reg.GetCounter(p + ".sched.denied")->Set(sched.denied);
-  reg.GetCounter(p + ".sched.runs")->Set(sched.runs);
-  reg.GetGauge(p + ".free_zones")->Set(static_cast<double>(FreeZones()));
-  reg.GetGauge(p + ".free_fraction")->Set(FreeFraction());
+  reclaimer_.PublishMetrics();
   reg.GetGauge(p + ".write_amplification")->Set(EndToEndWriteAmplification());
 }
 
@@ -846,7 +637,7 @@ std::vector<std::uint8_t> ZoneFileSystem::SerializeCheckpoint() const {
 }
 
 Status ZoneFileSystem::ApplyRecord(std::uint8_t type, std::span<const std::uint8_t> payload) {
-  Cursor c(payload);
+  ByteReader c(payload);
   if (type == kRecBatch) {
     while (c.ok() && c.remaining() > 0) {
       const std::uint8_t sub_type = c.U8();
@@ -1005,7 +796,7 @@ Status ZoneFileSystem::LoadFromZone(std::uint32_t meta_zone, SimTime now) {
     if (!r.ok()) {
       return r.status();
     }
-    Cursor c(page);
+    ByteReader c(page);
     const std::uint32_t magic = c.U32();
     const std::uint8_t type = c.U8();
     (void)c.U64();  // seq
@@ -1036,7 +827,7 @@ Status ZoneFileSystem::LoadFromZone(std::uint32_t meta_zone, SimTime now) {
     }
     // A complete blob: apply it.
     if (blob_type == kRecCheckpoint) {
-      Cursor ck(blob);
+      ByteReader ck(blob);
       next_file_id_ = ck.U32();
       const std::uint32_t count = ck.U32();
       for (std::uint32_t i = 0; i < count && ck.ok(); ++i) {
@@ -1077,7 +868,7 @@ Result<std::unique_ptr<ZoneFileSystem>> ZoneFileSystem::Mount(ZnsDevice* device,
     if (!r.ok()) {
       continue;
     }
-    Cursor c(page);
+    ByteReader c(page);
     const std::uint32_t magic = c.U32();
     const std::uint8_t type = c.U8();
     const std::uint64_t seq = c.U64();
@@ -1109,7 +900,8 @@ Result<std::unique_ptr<ZoneFileSystem>> ZoneFileSystem::Mount(ZnsDevice* device,
   // frontiers) -> sealed so GC can reclaim the orphaned pages.
   for (const auto& [id, file] : fs->files_) {
     for (const Extent& ext : file.extents) {
-      fs->zone_live_pages_[ext.dev_lba / fs->zone_pages_] += ext.pages;
+      fs->reclaimer_.AddLive(ZoneId{static_cast<std::uint32_t>(ext.dev_lba / fs->zone_pages_)},
+                             ext.pages);
     }
   }
   for (std::uint32_t z = device->num_zones(); z > kFirstDataZone; --z) {
@@ -1117,7 +909,7 @@ Result<std::unique_ptr<ZoneFileSystem>> ZoneFileSystem::Mount(ZnsDevice* device,
     const ZoneDescriptor d = device->zone(ZoneId{zone});
     switch (d.state) {
       case ZoneState::kEmpty:
-        fs->free_zones_.push_back(zone);
+        fs->reclaimer_.PushFree(ZoneId{zone});
         break;
       case ZoneState::kImplicitOpen:
       case ZoneState::kExplicitOpen:
@@ -1125,7 +917,7 @@ Result<std::unique_ptr<ZoneFileSystem>> ZoneFileSystem::Mount(ZnsDevice* device,
         if (d.write_pointer == 0) {
           Result<SimTime> reset = device->ResetZone(ZoneId{zone}, now);
           if (reset.ok()) {
-            fs->free_zones_.push_back(zone);
+            fs->reclaimer_.PushFree(ZoneId{zone});
           }
         } else {
           (void)device->FinishZone(ZoneId{zone}, now);
@@ -1158,12 +950,7 @@ Status ZoneFileSystem::CheckConsistency() const {
       return Status(ErrorCode::kCorruption, "file size mismatch");
     }
   }
-  for (std::uint32_t z = kFirstDataZone; z < device_->num_zones(); ++z) {
-    if (live[z] != zone_live_pages_[z]) {
-      return Status(ErrorCode::kCorruption, "zone live-page counter drift");
-    }
-  }
-  return Status::Ok();
+  return reclaimer_.CheckLive(live);
 }
 
 }  // namespace blockhead

@@ -6,7 +6,8 @@
 //     reset without copying — the mechanism behind the paper's 5x -> ~1.2x LSM write-
 //     amplification claim;
 //   * host-scheduled zone compaction (GC) for zones that end up with a mix of live and dead
-//     extents, using simple copy when available;
+//     extents, using simple copy when available (victim choice, the free-zone pool and
+//     scheduling are the shared ZoneReclaimer's, src/sched/zone_reclaimer.h);
 //   * a crash-consistent metadata journal: zones 0 and 1 alternate between a checkpoint and an
 //     append-only record log, so the filesystem can be remounted after a crash with all synced
 //     data intact.
@@ -22,7 +23,7 @@
 #include <string_view>
 #include <vector>
 
-#include "src/sched/gc_scheduler.h"
+#include "src/sched/zone_reclaimer.h"
 #include "src/util/status.h"
 #include "src/util/types.h"
 #include "src/zns/zns_device.h"
@@ -60,7 +61,7 @@ struct ZoneFileConfig {
   GcSchedulerConfig sched;
 };
 
-struct ZoneFileStats {
+struct ZoneFileStats : ZoneReclaimStats {
   std::uint64_t bytes_appended = 0;
   std::uint64_t bytes_read = 0;
   std::uint64_t data_pages_flushed = 0;
@@ -68,9 +69,6 @@ struct ZoneFileStats {
   std::uint64_t checkpoints = 0;
   std::uint64_t files_created = 0;
   std::uint64_t files_deleted = 0;
-  std::uint64_t gc_cycles = 0;
-  std::uint64_t gc_pages_copied = 0;
-  std::uint64_t zones_reclaimed = 0;
 };
 
 class ZoneFileSystem {
@@ -106,12 +104,11 @@ class ZoneFileSystem {
   Result<Lifetime> FileHint(std::string_view name) const;
   std::vector<std::string> ListFiles() const;
 
-  // Opportunistic zone compaction, policy-gated like HostFtlBlockDevice::Pump.
+  // Opportunistic zone compaction: runs up to `max_cycles` steps of at most gc_step_pages
+  // pages while a victim is pending or the GcScheduler policy allows one. Returns steps run.
   std::uint32_t Pump(SimTime now, bool reads_pending, std::uint32_t max_cycles = 1);
 
   const ZoneFileStats& stats() const { return stats_; }
-  std::uint64_t FreeZones() const { return free_zones_.size(); }
-  double FreeFraction() const;
   // Physical flash programs per byte of file data appended, normalized to pages.
   double EndToEndWriteAmplification() const;
 
@@ -133,7 +130,7 @@ class ZoneFileSystem {
   static constexpr std::uint32_t kMetaZoneA = 0;
   static constexpr std::uint32_t kMetaZoneB = 1;
   static constexpr std::uint32_t kFirstDataZone = 2;
-  static constexpr std::uint32_t kNoZone = ~0U;
+  static constexpr std::uint32_t kNoZone = ZoneReclaimer::kNoZone;
 
   struct Extent {
     std::uint64_t dev_lba = 0;
@@ -162,16 +159,17 @@ class ZoneFileSystem {
   // Picks/refreshes the write frontier for a lifetime class. May trigger forced compaction.
   Result<std::uint32_t> FrontierFor(Lifetime hint, SimTime now);
   Result<std::uint32_t> AllocateZone(SimTime now);
-  bool IsFrontier(std::uint32_t zone_index) const;
-
-  // One incremental compaction step: starts a victim if none is pending, relocates up to
-  // `max_pages` live pages, and finalizes (journal + reset) when the victim is drained.
-  Result<SimTime> GcStep(SimTime now, bool critical, std::uint32_t max_pages);
-  // Runs a pending (or new) victim to completion. Used on the critical allocation path.
-  Result<SimTime> GcRunToCompletion(SimTime now, bool critical);
-  Status StartGcVictim(SimTime now, bool critical);
-  std::uint32_t PickVictim(bool critical) const;
   void PublishMetrics();
+
+  // ZoneReclaimer hooks: a victim's live extents become work items, relocated to their file's
+  // lifetime frontier; the rewritten extent maps are journaled in one batch before the reset.
+  friend class ZoneReclaimer;
+  // Clears sealed frontier slots and seals stray open zones, then returns the frontiers.
+  std::span<const std::uint32_t> ReclaimFrontiers(SimTime now);
+  void BeginVictim(std::uint32_t victim);
+  Result<SimTime> RelocateStep(std::uint32_t victim, SimTime now, std::uint32_t max_pages);
+  bool VictimDrained() const { return gc_.next >= gc_.items.size(); }
+  Result<SimTime> BeforeVictimReset(SimTime now);
 
   // --- Metadata journal ---
   // Writes a metadata blob of the given record type as one or more meta pages; swaps meta
@@ -186,7 +184,8 @@ class ZoneFileSystem {
 
   ZnsDevice* device_;
   ZoneFileConfig config_;
-  GcScheduler scheduler_;
+  ZoneFileStats stats_;
+  ZoneReclaimer reclaimer_;
   std::uint32_t page_size_ = 0;
   std::uint64_t zone_pages_ = 0;
 
@@ -194,15 +193,12 @@ class ZoneFileSystem {
   std::map<std::uint32_t, FileMeta> files_;
   std::uint32_t next_file_id_ = 1;
 
-  std::vector<std::uint32_t> free_zones_;
   std::vector<std::uint32_t> frontier_;  // Indexed by lifetime class.
-  std::vector<std::uint32_t> zone_live_pages_;
 
   std::uint32_t meta_zone_ = kMetaZoneA;
   std::uint64_t meta_seq_ = 0;
-  bool in_gc_ = false;  // Guards against forced-GC recursion while relocating extents.
 
-  // In-flight incremental compaction state.
+  // Relocation state of the victim being drained.
   struct GcWorkItem {
     std::uint32_t file_id = 0;
     std::uint64_t dev_lba = 0;
@@ -210,25 +206,20 @@ class ZoneFileSystem {
     std::uint64_t bytes = 0;
   };
   struct GcPending {
-    std::uint32_t victim = kNoZone;
     std::vector<GcWorkItem> items;
     std::size_t next = 0;
     std::vector<std::uint32_t> touched_files;
   };
   GcPending gc_;
 
-  ZoneFileStats stats_;
   Telemetry* telemetry_ = nullptr;
   std::string metric_prefix_;
-  int sampler_group_ = -1;  // Timeline group for free-space / WA gauges.
   // Span names interned at attach time, so Append/Read open spans without building strings.
   RequestPathLedger::SpanName* append_span_ = nullptr;
   RequestPathLedger::SpanName* read_span_ = nullptr;
   // Application bytes accepted by Append, accumulated into the provenance ledger's domain
   // "<prefix>" as a link in the factorized-WA chain.
   Bytes* provenance_ingress_ = nullptr;
-  // stats_.gc_pages_copied at victim selection (per-cycle copy count for the kGcCycle event).
-  std::uint64_t gc_cycle_copied_base_ = 0;
 
   // State-digest audit of the file map ("<prefix>.extents"): one entry per extent hashing
   // (file id, device LBA, pages, bytes) plus one per file hashing (id, hint, synced size).

@@ -1,8 +1,9 @@
 // Heap-allocation budgets for the hot data paths: SSTable point lookups and the table builder,
-// and the conventional FTL's steady state (reads, and writes with GC running), with telemetry
-// off and on. The counter (tests/heap_counter.h, which replaces the global operator new) sees
-// every allocation the code under test makes. The SSTables live in an in-memory Env whose
-// reads and appends never allocate, so there it sees only what the SSTable code allocates.
+// the conventional FTL's steady state (reads, and writes with GC running) with telemetry off
+// and on, and the host FTL's steady state (writes with zone reclamation pumped alongside).
+// The counter (tests/heap_counter.h, which replaces the global operator new) sees every
+// allocation the code under test makes. The SSTables live in an in-memory Env whose reads and
+// appends never allocate, so there it sees only what the SSTable code allocates.
 
 #include "tests/heap_counter.h"
 
@@ -17,6 +18,7 @@
 #include <vector>
 
 #include "src/ftl/conventional_ssd.h"
+#include "src/hostftl/host_ftl.h"
 #include "src/kv/env.h"
 #include "src/kv/sstable.h"
 #include "src/telemetry/telemetry.h"
@@ -266,6 +268,56 @@ TEST_F(ConventionalSsdHeapBudgetTest, SteadyStateReadsWithTelemetryDoNotAllocate
             spans_before + kMeasuredOps);
   EXPECT_EQ(allocations, 0u);
   ssd_->AttachTelemetry(nullptr);
+}
+
+// The block interface emulated on a ZNS device (Small geometry, default host FTL) at steady
+// state: random overwrites with Pump every 16 writes, as the I/O drivers call it, so every
+// measured write runs with zone reclamation in progress. The warm-up programs every block once
+// (flash page storage is allocated on a block's first program) and then overwrites three times
+// the logical space.
+TEST(HostFtlHeapBudgetTest, SteadyStateWritesWithGcDoNotAllocate) {
+  constexpr std::uint64_t kMeasuredOps = 20000;
+  constexpr std::uint64_t kPumpInterval = 16;
+  FlashConfig flash;
+  flash.geometry = FlashGeometry::Small();
+  flash.timing = FlashTiming::FastForTests();
+  ZnsDevice device(flash, ZnsConfig{});
+  SimTime now = 0;
+  for (std::uint32_t z = 0; z < device.num_zones(); ++z) {
+    const auto pages = static_cast<std::uint32_t>(device.zone_size_pages());
+    ASSERT_TRUE(device.Write(ZoneId{z}, 0, pages, now).ok());
+    auto reset = device.ResetZone(ZoneId{z}, now);
+    ASSERT_TRUE(reset.ok());
+    now = reset.value();
+  }
+  HostFtlBlockDevice ftl(&device, HostFtlConfig{});
+  const std::vector<std::uint8_t> page(flash.geometry.page_size, 0x5a);
+  Rng rng(7);
+  std::uint64_t op = 0;
+  auto write = [&] {
+    auto done = ftl.WriteBlocks(Lba{rng.NextBelow(ftl.num_blocks())}, 1, now, page);
+    if (!done.ok()) {
+      return false;
+    }
+    now = done.value();
+    if (++op % kPumpInterval == 0) {
+      ftl.Pump(now, /*reads_pending=*/false, 1);
+    }
+    return true;
+  };
+  for (std::uint64_t i = 0; i < 3 * ftl.num_blocks(); ++i) {
+    ASSERT_TRUE(write());
+  }
+  const std::uint64_t cycles_before = ftl.stats().gc_cycles;
+  HeapCounter counter;
+  for (std::uint64_t i = 0; i < kMeasuredOps; ++i) {
+    if (!write()) {
+      FAIL() << "write failed at op " << i;
+    }
+  }
+  const std::uint64_t allocations = counter.allocations();
+  EXPECT_GT(ftl.stats().gc_cycles, cycles_before) << "GC must run inside the measured writes";
+  EXPECT_EQ(allocations, 0u);
 }
 
 }  // namespace

@@ -463,5 +463,75 @@ TEST_F(ZoneFileTest, WriteAmplificationNearOneForGroupedLifetimes) {
   EXPECT_TRUE(fs_->CheckConsistency().ok());
 }
 
+// Without Pump, churn drives free space to critical, so zone allocation must compact first.
+// Both layers count that as a forced stall: the tally and its SimTime are published under
+// `<prefix>.gc.forced_stalls` and `<prefix>.sched.forced_stall_ns`.
+TEST_F(ZoneFileTest, ForcedCompactionIsCounted) {
+  Telemetry telemetry;
+  fs_->AttachTelemetry(&telemetry, "zonefile");
+  const std::vector<std::uint8_t> data = Bytes(16 * 4096, 1);
+  SimTime t = 0;
+  std::vector<std::string> live;
+  for (int i = 0; i < 1000; ++i) {
+    const std::string name = "f" + std::to_string(i);
+    ASSERT_TRUE(fs_->Create(name, Lifetime::kNone, t).ok());
+    auto a = fs_->Append(name, data, t);
+    ASSERT_TRUE(a.ok()) << a.status().ToString() << " at i=" << i;
+    t = a.value();
+    ASSERT_TRUE(fs_->Sync(name, t).ok());
+    live.push_back(name);
+    if (live.size() > 32) {
+      ASSERT_TRUE(fs_->Delete(live.front(), t).ok());
+      live.erase(live.begin());
+    }
+  }
+  EXPECT_GT(fs_->stats().forced_gc_stalls, 0u);
+  EXPECT_GT(fs_->stats().gc_cycles, 0u);
+  telemetry.registry.Snapshot();
+  EXPECT_EQ(telemetry.registry.GetCounter("zonefile.gc.forced_stalls")->value(),
+            fs_->stats().forced_gc_stalls);
+  EXPECT_GT(telemetry.registry.GetCounter("zonefile.sched.forced_stall_ns")->value(), 0u);
+  EXPECT_TRUE(fs_->CheckConsistency().ok());
+  fs_->AttachTelemetry(nullptr);
+}
+
+// Opportunistic compaction only takes zones at most gc_max_live_fraction live. Eight full
+// zones, each 7/8 live, are skipped at the default 0.75 and compacted at 0.9.
+TEST(ZoneFileGcTest, OpportunisticCompactionSkipsZonesAboveLiveFraction) {
+  for (const double max_live : {0.75, 0.9}) {
+    SCOPED_TRACE(max_live);
+    ZnsDevice device(SmallFlash(), DeviceConfig());
+    ZoneFileConfig config;
+    config.gc_max_live_fraction = max_live;
+    config.sched.low_free_fraction = 1.0;  // Eager: the scheduler always allows a cycle.
+    auto formatted = ZoneFileSystem::Format(&device, config, 0);
+    ASSERT_TRUE(formatted.ok());
+    ZoneFileSystem& fs = *formatted.value();
+    const std::uint64_t file_pages = device.zone_size_pages() / 8;
+    const std::vector<std::uint8_t> data = Bytes(file_pages * 4096, 2);
+    SimTime t = 0;
+    for (int i = 0; i < 64; ++i) {  // Eight zones of eight files each.
+      const std::string name = "f" + std::to_string(i);
+      ASSERT_TRUE(fs.Create(name, Lifetime::kNone, t).ok());
+      auto a = fs.Append(name, data, t);
+      ASSERT_TRUE(a.ok());
+      t = a.value();
+      ASSERT_TRUE(fs.Sync(name, t).ok());
+    }
+    for (int i = 0; i < 64; i += 8) {  // One file per zone dies.
+      ASSERT_TRUE(fs.Delete("f" + std::to_string(i), t).ok());
+    }
+    const std::uint32_t ran = fs.Pump(t, /*reads_pending=*/false, 16);
+    if (max_live < 0.875) {
+      EXPECT_EQ(ran, 0u) << "zones above the live fraction must not be compacted";
+      EXPECT_EQ(fs.stats().gc_pages_copied, 0u);
+    } else {
+      EXPECT_GT(ran, 0u);
+      EXPECT_GT(fs.stats().gc_pages_copied, 0u);
+    }
+    EXPECT_TRUE(fs.CheckConsistency().ok());
+  }
+}
+
 }  // namespace
 }  // namespace blockhead
